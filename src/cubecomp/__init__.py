@@ -10,6 +10,7 @@ front end (cli).
 """
 
 from .exact import (
+    BINARY_POINTS,
     IMat2,
     InputError,
     MultiForm,
@@ -17,9 +18,7 @@ from .exact import (
     UnsupportedDomainError,
     VerifyResult,
     lagrange_gauss_reduce,
-    multiform_eval,
-    multiform_mul,
-    multiform_substitute,
+    verify_at_points,
 )
 from .qring import (
     KElem,
@@ -27,7 +26,6 @@ from .qring import (
     QuadraticRing,
     kelem_cube_root,
     principal_generator,
-    ring_of_discriminant,
 )
 from .bqf import (
     BQF,

@@ -5,26 +5,27 @@ pair of alternating 4x4 matrices by the block construction phi, with the
 Pfaffian of the matrix pencil recovering the first associated form on the
 nose; a cube maps to an alternating 3-form on Z^6 by distributing its three
 tensor slots over the three 2-blocks of Z^6.  Both composition identities
-are verified exactly, the first over basis tuples of the product form, the
-second by full polynomial expansion in 36 variables.
+are verified exactly, the first over the 4096 basis tuples of the product
+form, the second by full polynomial expansion in 36 variables.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product as iter_product
+from itertools import combinations
 
 from .bqf import BQF
 from .cubes import (
     Cube,
-    assoc_form,
+    _basis_pairs,
+    _bilinear_pair,
+    _witness_reasons,
     companion_cube,
     cube_disc,
-    cube_variants,
     identity_cube,
     slices,
 )
-from .exact import InputError, MultiForm, Poly
-from .qring import ring_of_discriminant
+from .exact import InputError, MultiForm, Poly, VerifyResult, verify_at_points
+from .qring import QuadraticRing
 
 
 def _check_alternating(m):
@@ -153,94 +154,46 @@ def pair_form_product(P: QuatAltPair, Q: QuatAltPair) -> MultiForm:
     return out
 
 
-def _table(X: Cube, variant: int):
-    """Coefficient table of a cube involution image: tab[i][s][t]."""
-    V = cube_variants(X)[variant] if variant >= 0 else X
-    return tuple(
-        tuple(tuple(V.coeff(i, s, t) for t in (0, 1)) for s in (0, 1))
-        for i in (0, 1)
-    )
-
-
-def _table_apply(tab, a, b):
-    return tuple(
-        sum(tab[i][s][t] * a[s] * b[t] for s in (0, 1) for t in (0, 1))
-        for i in (0, 1)
-    )
-
-
 def verify_quaternary_composition(
     A: Cube, B: Cube, C: Cube, R: Cube, S: Cube, T: Cube
-) -> bool:
+) -> VerifyResult:
     """Exact check of the alternating-pair composition identity.
 
     A must be doubly symmetric so that its image pair represents the same
-    class; the pairs F, G, H are built here via phi.  Conditions: the
+    class; the pairs F, G, H are phi(A), phi(B), phi(C).  Conditions: the
     twelve-slot identity between (G*H) and F evaluated on the sigma-pair
-    vectors (complete on the 4096 basis tuples of the product form, both
-    sides being multilinear in the six vector slots), Q1(R) = Q1(A) with
-    Q2(R) = Q1(B), the three corner product equations, and equal
-    discriminants.
+    vectors (complete on the 2*4*4*2*4*4 = 4096 basis tuples of the
+    product form, both sides being multilinear in the six vector slots),
+    Q1(R) = Q1(A) with Q2(R) = Q1(B), the three corner product equations,
+    and equal discriminants.
     """
     if A.coeffs[1] != A.coeffs[2] or A.coeffs[5] != A.coeffs[6]:
         raise InputError("first cube must be doubly symmetric")
-    D = cube_disc(A)
-    if any(cube_disc(X) != D for X in (B, C, R, S, T)):
-        return False
-    if assoc_form(R, 1) != assoc_form(A, 1):
-        return False
-    if assoc_form(R, 2) != assoc_form(B, 1):
-        return False
-    for X, i in ((R, 1), (S, 2), (T, 3)):
-        lhs = assoc_form(B, i)(1, 0) * assoc_form(C, i)(1, 0)
-        if lhs != assoc_form(A, i)(X.coeffs[4], X.coeffs[0]):
-            return False
+    reasons = _witness_reasons("ABCRST", (A, B, C, R, S, T))
+    if cube_disc(B) != cube_disc(C):
+        # the product form is undefined across discriminants
+        return VerifyResult(False, reasons)
+    lhs_coeffs = pair_form_product(phi(B), phi(C)).coeffs
+    rp, sp, tp = _basis_pairs(R), _basis_pairs(S), _basis_pairs(T)
+    # F's 4-vector slots take (S(y1, v1) + T(y2, v2), S(y1, w1) + T(y2, w2))
+    # for y = (y1, y2); on basis vectors at most one of the terms survives
+    zero = [(0, 0)] * 2
+    half = [row + zero for row in sp] + [zero + row for row in tp]
 
-    F, G, H = phi(A), phi(B), phi(C)
-    lhs_form = pair_form_product(G, H)
-    favatar = F.avatar()
-    rt = _table(R, 1)
-    st = _table(S, 1)
-    tt = _table(T, 1)
-    e2 = ((1, 0), (0, 1))
-    e4 = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
-    zero2 = (0, 0)
+    def lhs(x, y, z, u, v, w):
+        return lhs_coeffs[((((x * 4 + y) * 4 + z) * 2 + u) * 4 + v) * 4 + w]
 
-    def halves(vec):
-        return vec[:2], vec[2:]
+    def rhs(x, y, z, u, v, w):
+        # phi(A)(rho, (a1, a2), (b1, b2)) = A(rho, a1, b2) - A(rho, b1, a2)
+        r0, r1 = rp[x][u]
+        p0, p1 = _bilinear_pair(A, half[y][v], half[z][w])
+        n0, n1 = _bilinear_pair(A, half[z][v], half[y][w])
+        return r0 * (p0 - n0) + r1 * (p1 - n1)
 
-    for x, y, z, u, v, w in iter_product(
-        range(2), range(4), range(4), range(2), range(4), range(4)
-    ):
-        left = lhs_form[(x, y, z, u, v, w)]
-        y1, y2 = halves(e4[y])
-        z1, z2 = halves(e4[z])
-        v1, v2 = halves(e4[v])
-        w1, w2 = halves(e4[w])
-        rho = _table_apply(rt, e2[x], e2[u])
-        sv1 = _table_apply(st, y1, v1) if y1 != zero2 and v1 != zero2 else zero2
-        tv2 = _table_apply(tt, y2, v2) if y2 != zero2 and v2 != zero2 else zero2
-        sw1 = _table_apply(st, y1, w1) if y1 != zero2 and w1 != zero2 else zero2
-        tw2 = _table_apply(tt, y2, w2) if y2 != zero2 and w2 != zero2 else zero2
-        arg2 = (
-            sv1[0] + tv2[0],
-            sv1[1] + tv2[1],
-            sw1[0] + tw2[0],
-            sw1[1] + tw2[1],
-        )
-        sv1 = _table_apply(st, z1, v1) if z1 != zero2 and v1 != zero2 else zero2
-        tv2 = _table_apply(tt, z2, v2) if z2 != zero2 and v2 != zero2 else zero2
-        sw1 = _table_apply(st, z1, w1) if z1 != zero2 and w1 != zero2 else zero2
-        tw2 = _table_apply(tt, z2, w2) if z2 != zero2 and w2 != zero2 else zero2
-        arg3 = (
-            sv1[0] + tv2[0],
-            sv1[1] + tv2[1],
-            sw1[0] + tw2[0],
-            sw1[1] + tw2[1],
-        )
-        if left != favatar.eval((rho, arg2, arg3)):
-            return False
-    return True
+    slots = (range(2), range(4), range(4)) * 2
+    return verify_at_points(
+        lhs, rhs, slots, "basis tuple (x,y,z,u,v,w)", reasons
+    )
 
 
 _TRIPLES = tuple(combinations(range(6), 3))
@@ -332,7 +285,7 @@ def senary_identity_pair(D: int):
     """
     if D == 0:
         raise InputError("discriminant must be nonzero")
-    ring = ring_of_discriminant(D)
+    ring = QuadraticRing(D)
     one, tau = ring.one(), ring.tau()
     zero = ring.zero()
     basis = []
@@ -356,66 +309,41 @@ def senary_identity_pair(D: int):
     return E, Ep
 
 
-def _senary_poly(E: SenaryAlt3, xs, ys, zs) -> Poly:
-    """E(x, y, z) as a polynomial; xs, ys, zs are coordinate Polys."""
-    nvars = xs[0].nvars
-    total = Poly.const(nvars, 0)
-    for n, (i, j, k) in enumerate(_TRIPLES):
-        a = E.coeffs[n]
-        if a:
-            det = (
-                xs[i] * (ys[j] * zs[k] - ys[k] * zs[j])
-                - xs[j] * (ys[i] * zs[k] - ys[k] * zs[i])
-                + xs[k] * (ys[i] * zs[j] - ys[j] * zs[i])
-            )
-            total = total + a * det
-    return total
-
-
-def _mult_table(D: int):
-    """Pair table of the cube whose bilinear pair multiplies out
-    (x1 + x2 tau)(u1 + u2 tau) in coordinates: components
-    (x1 u1 + m x2 u2, x1 u2 + x2 u1 + eps x2 u2)."""
-    eps = D % 4
-    m = (D - eps) // 4
-    return _table(Cube((1, 0, 0, m, 0, 1, 1, eps)), -1)
-
-
-def _senary_sides(D: int, tab):
+def _senary_sides(D: int):
     """The two 36-variable polynomials the senary identity compares."""
     E, Ep = senary_identity_pair(D)
     eps = D % 4
+    # the cube whose bilinear pair multiplies out (x1 + x2 tau)(u1 + u2 tau)
+    # in coordinates: (x1 u1 + m x2 u2, x1 u2 + x2 u1 + eps x2 u2)
+    mult = Cube((1, 0, 0, (D - eps) // 4, 0, 1, 1, eps))
     V = Poly.variables(36)
     xs, ys, zs = V[0:6], V[6:12], V[12:18]
     us, vs, ws = V[18:24], V[24:30], V[30:36]
-    ex = _senary_poly(E, xs, ys, zs)
-    epx = _senary_poly(Ep, xs, ys, zs)
-    eu = _senary_poly(E, us, vs, ws)
-    epu = _senary_poly(Ep, us, vs, ws)
+    ex, epx = senary_eval(E, xs, ys, zs), senary_eval(Ep, xs, ys, zs)
+    eu, epu = senary_eval(E, us, vs, ws), senary_eval(Ep, us, vs, ws)
     lhs = ex * epu + epx * eu + eps * ex * eu
 
-    def pair_sum(avars, bvars):
-        # the table pair applied blockwise and summed over the three blocks
-        acc0 = Poly.const(36, 0)
-        acc1 = Poly.const(36, 0)
-        for blk in range(3):
-            for s in (0, 1):
-                for t in (0, 1):
-                    prod = avars[2 * blk + s] * bvars[2 * blk + t]
-                    acc0 = acc0 + tab[0][s][t] * prod
-                    acc1 = acc1 + tab[1][s][t] * prod
-        return (acc0, acc1)
-
     def column(bvars):
+        # each row times bvars, blockwise through mult, summed over blocks
         out = []
-        for rowvars in (xs, ys, zs):
-            out.extend(pair_sum(rowvars, bvars))
+        for avars in (xs, ys, zs):
+            blocks = [
+                _bilinear_pair(mult, avars[b : b + 2], bvars[b : b + 2])
+                for b in (0, 2, 4)
+            ]
+            out.extend(map(sum, zip(*blocks)))
         return out
 
-    rhs = _senary_poly(E, column(us), column(vs), column(ws))
+    rhs = senary_eval(E, column(us), column(vs), column(ws))
     return lhs, rhs
 
 
-def verify_senary_identity(D: int) -> bool:
-    lhs, rhs = _senary_sides(D, _mult_table(D))
-    return lhs == rhs
+def verify_senary_identity(D: int) -> VerifyResult:
+    """The senary identity pairing at D, compared as full 36-variable
+    polynomial expansions of both sides."""
+    lhs, rhs = _senary_sides(D)
+    if lhs == rhs:
+        return VerifyResult(True)
+    return VerifyResult(
+        False, [f"the senary identity pairing does not hold at D = {D}"]
+    )

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from math import gcd, isqrt
 
-from .exact import InputError, Poly, UnsupportedDomainError
+from .exact import BINARY_POINTS, InputError, UnsupportedDomainError
+from .exact import VerifyResult, verify_at_points
 from .qring import KElem, OrientedIdeal, QuadraticRing
 
 
@@ -63,10 +64,6 @@ class BQF:
 
     def __repr__(self):
         return f"BQF{self.coeffs()}"
-
-    def poly(self, nvars: int, ix: int, iy: int) -> Poly:
-        x, y = Poly.var(nvars, ix), Poly.var(nvars, iy)
-        return self.a * x * x + self.b * x * y + self.c * y * y
 
 
 def sl2_act(Q: BQF, g) -> BQF:
@@ -327,35 +324,33 @@ class GaussBilinearData:
         return f"GaussBilinearData({self.amat}, {self.bmat})"
 
 
-def verify_gauss_identity(Q1: BQF, Q2: BQF, Q3: BQF, data: GaussBilinearData) -> bool:
+def verify_gauss_identity(
+    Q1: BQF, Q2: BQF, Q3: BQF, data: GaussBilinearData
+) -> VerifyResult:
     """Exact check of Q1(x)*Q2(y) = Q3(z1, z2) plus both normalizations.
 
-    z1, z2 are the bilinear forms given by data; the identity is compared as
-    polynomials in (x1, x2, y1, y2), so truth here is truth everywhere.
+    z1, z2 are the bilinear forms given by data.  Both sides have degree 2
+    in x and in y, so agreement on the 3x3 grid of BINARY_POINTS[:3] is
+    agreement as polynomials: truth here is truth everywhere.
     """
-    x1, x2, y1, y2 = Poly.variables(4)
     a, b = data.amat, data.bmat
-    z1 = (
-        a[0][0] * x1 * y1
-        + a[0][1] * x1 * y2
-        + a[1][0] * x2 * y1
-        + a[1][1] * x2 * y2
-    )
-    z2 = (
-        b[0][0] * x1 * y1
-        + b[0][1] * x1 * y2
-        + b[1][0] * x2 * y1
-        + b[1][1] * x2 * y2
-    )
-    lhs = Q1.poly(4, 0, 1) * Q2.poly(4, 2, 3)
-    rhs = Q3.a * z1 * z1 + Q3.b * z1 * z2 + Q3.c * z2 * z2
-    if lhs != rhs:
-        return False
+    reasons = []
     if Q1(1, 0) != a[0][0] * b[0][1] - a[0][1] * b[0][0]:
-        return False
+        reasons.append("normalization fails: Q1(1, 0) != a11 b12 - a12 b11")
     if Q2(1, 0) != a[0][0] * b[1][0] - a[1][0] * b[0][0]:
-        return False
-    return True
+        reasons.append("normalization fails: Q2(1, 0) != a11 b21 - a21 b11")
+
+    def z(m, x, y):
+        return sum(x[i] * m[i][j] * y[j] for i in (0, 1) for j in (0, 1))
+
+    points = BINARY_POINTS[:3]
+    return verify_at_points(
+        lambda x, y: Q1(*x) * Q2(*y),
+        lambda x, y: Q3(z(a, x, y), z(b, x, y)),
+        (points, points),
+        "(x, y)",
+        reasons,
+    )
 
 
 class ClassGroupTable:

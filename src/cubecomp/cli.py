@@ -52,9 +52,6 @@ FIXTURES = (
     "quat_disc_m47.json",
 )
 
-_LAW_FOR_SPACE = {"cube": "cube", "cubic": "cubic", "pair": "pair", "quat": "quat"}
-
-
 class Report:
     """What a subcommand computed, ready for either output mode."""
 
@@ -245,12 +242,11 @@ def cmd_compose(args) -> Report:
 
 
 def _verify_envelope(law: str, env: Envelope):
-    """Run one composition-law verification; (verdict, reasons, artifacts)."""
+    """Run one composition-law verification; (VerifyResult, artifacts)."""
     if law == "gauss":
         (A,) = _only(env, Cube, "cube", 1)
         _check_disc(env, (cube_disc(A),))
-        forms, data, ok = lemmermeyer_identity(A)
-        reasons = [] if ok else ["the bilinear composition identity fails"]
+        forms, data, res = lemmermeyer_identity(A)
         artifacts = [
             encode_envelope(
                 "bqf",
@@ -259,38 +255,27 @@ def _verify_envelope(law: str, env: Envelope):
                 ["factor1", "factor2", "product"],
             )
         ]
-        return ok, reasons, artifacts
+        return res, artifacts
     if law == "cube":
         cubes = _only(env, Cube, "cubes", 6)
         _check_disc(env, (cube_disc(cubes[0]),))
-        res = verify_cube_composition(*cubes)
-        return res.ok, list(res.reasons), []
+        return verify_cube_composition(*cubes), []
     if law == "cubic":
         (fgh, (R,)) = _split(
             env, ((BinaryCubic, 3, "cubics"), (Cube, 1, "witness cube"))
         )
         _check_disc(env, (cubic_disc(fgh[0]),))
-        ok = verify_cubic_composition(fgh[0], fgh[1], fgh[2], R)
-        reasons = [] if ok else ["the cubic composition identity does not hold"]
-        return ok, reasons, []
+        return verify_cubic_composition(fgh[0], fgh[1], fgh[2], R), []
     if law == "pair":
         (FGH, RS) = _split(
             env, ((PairBQF, 3, "form pairs"), (Cube, 2, "witness cubes"))
         )
         _check_disc(env, (pair_disc(FGH[0]),))
-        ok = verify_pair_composition(FGH[0], FGH[1], FGH[2], RS[0], RS[1])
-        reasons = [] if ok else ["the pair composition identity does not hold"]
-        return ok, reasons, []
+        return verify_pair_composition(*FGH, *RS), []
     if law == "quat":
         cubes = _only(env, Cube, "cubes", 6)
         _check_disc(env, (cube_disc(cubes[0]),))
-        ok = verify_quaternary_composition(*cubes)
-        reasons = (
-            []
-            if ok
-            else ["the quaternary pair composition identity does not hold"]
-        )
-        return ok, reasons, []
+        return verify_quaternary_composition(*cubes), []
     raise InputError(f"unknown law {law!r}")
 
 
@@ -299,18 +284,15 @@ def cmd_verify(args) -> Report:
     if args.law == "senary":
         if args.discriminant is None:
             raise InputError("the senary law takes --discriminant")
-        ok = verify_senary_identity(args.discriminant)
-        rep.verdict = ok
-        if not ok:
-            rep.reasons.append("the senary identity pairing does not hold")
-        return rep
-    if args.infile is None:
-        raise InputError("this law takes --in with an envelope file")
-    env = _read_envelope(args.infile)
-    ok, reasons, artifacts = _verify_envelope(args.law, env)
-    rep.verdict = bool(ok)
-    rep.reasons = reasons
-    rep.artifacts = artifacts
+        res = verify_senary_identity(args.discriminant)
+    else:
+        if args.infile is None:
+            raise InputError("this law takes --in with an envelope file")
+        res, rep.artifacts = _verify_envelope(
+            args.law, _read_envelope(args.infile)
+        )
+    rep.verdict = res.ok
+    rep.reasons = list(res.reasons)
     return rep
 
 
@@ -345,16 +327,16 @@ def cmd_examples(args) -> Report:
     passed = 0
     for name in FIXTURES:
         env = parse_envelope(_fixture_text(name))
-        law = _LAW_FOR_SPACE[env.space]
-        ok, reasons, _ = _verify_envelope(law, env)
-        rep.lines.append(f"{name}: {'PASS' if ok else 'FAIL'}")
+        # each fixture's space names the law it exercises
+        res, _ = _verify_envelope(env.space, env)
+        rep.lines.append(f"{name}: {'PASS' if res.ok else 'FAIL'}")
         rep.artifacts.append(
-            {"fixture": name, "verdict": "verified" if ok else "failed"}
+            {"fixture": name, "verdict": "verified" if res.ok else "failed"}
         )
-        if ok:
+        if res.ok:
             passed += 1
         else:
-            rep.reasons.extend(f"{name}: {r}" for r in reasons)
+            rep.reasons.extend(f"{name}: {r}" for r in res.reasons)
     rep.lines.append(f"{passed}/{len(FIXTURES)} worked examples verified")
     rep.verdict = passed == len(FIXTURES)
     return rep

@@ -15,7 +15,8 @@ from itertools import product as iter_product
 
 from .bqf import BQF, GaussBilinearData, compose_dirichlet, principal_form
 from .bqf import ideal_to_bqf, reduce as bqf_reduce, verify_gauss_identity
-from .exact import InputError, MultiForm, UnsupportedDomainError, VerifyResult
+from .exact import BINARY_POINTS, InputError, MultiForm, UnsupportedDomainError
+from .exact import VerifyResult, verify_at_points
 from .qring import KElem, OrientedIdeal, QuadraticRing, principal_generator
 
 
@@ -179,23 +180,61 @@ def lemmermeyer_identity(A: Cube):
 
     Q_2(x, -y) * Q_3(x, -y) composes to Q_1, with bilinear matrices N_1 for
     the first coordinate and M_1 for the second.  Returns the three forms,
-    the bilinear data, and the exact verification verdict.
+    the bilinear data, and the exact verification result.
     """
     Q1, Q2, Q3 = assoc_forms(A)
     M1, N1 = slices(A, 0)
     G1 = BQF(Q2.a, -Q2.b, Q2.c)
     G2 = BQF(Q3.a, -Q3.b, Q3.c)
     data = GaussBilinearData(N1, M1)
-    ok = verify_gauss_identity(G1, G2, Q1, data)
-    return (G1, G2, Q1), data, ok
+    return (G1, G2, Q1), data, verify_gauss_identity(G1, G2, Q1, data)
 
 
-def _pair_table(A: Cube):
-    """pair[i][s][t] = component i of the bilinear pair at basis (e_s, e_t)."""
-    return tuple(
-        tuple(tuple(A.coeff(i, s, t) for t in (0, 1)) for s in (0, 1))
-        for i in (0, 1)
+def _bilinear_pair(A: Cube, a, b):
+    """(A(e1, a, b), A(e2, a, b)): the pair of bilinear forms cut from A by
+    its first slot, evaluated at 2-vectors a and b.  The composition laws
+    feed this vector, taken on a witness's sigma image, to their outer form.
+    """
+    c0, c1, c2, c3, c4, c5, c6, c7 = A.coeffs
+    a0, a1 = a
+    b0, b1 = b
+    return (
+        a0 * (c0 * b0 + c1 * b1) + a1 * (c2 * b0 + c3 * b1),
+        a0 * (c4 * b0 + c5 * b1) + a1 * (c6 * b0 + c7 * b1),
     )
+
+
+def _basis_pairs(X: Cube):
+    """pairs[s][t] = _bilinear_pair of X-sigma at basis vectors (e_s, e_t)."""
+    sigma, basis = cube_variants(X)[1], BINARY_POINTS[:2]
+    return [[_bilinear_pair(sigma, a, b) for b in basis] for a in basis]
+
+
+def _witness_reasons(names: str, cubes) -> list:
+    """The failed side conditions of a cube-shaped law on inputs A, B, C
+    and witnesses R, ... (labelled by ``names``): every discriminant equals
+    disc(A), Q1(R) = Q1(A), Q2(R) = Q1(B), and for the i-th witness X the
+    corner equation Q_i(B)(1, 0) Q_i(C)(1, 0) = Q_i(A)(x211, x111)."""
+    A, B, C, R = cubes[:4]
+    D = cube_disc(A)
+    reasons = [
+        f"disc({n}) = {cube_disc(X)} != disc({names[0]}) = {D}"
+        for n, X in zip(names[1:], cubes[1:])
+        if cube_disc(X) != D
+    ]
+    if assoc_form(R, 1) != assoc_form(A, 1):
+        reasons.append(f"Q1({names[3]}) != Q1({names[0]})")
+    if assoc_form(R, 2) != assoc_form(B, 1):
+        reasons.append(f"Q2({names[3]}) != Q1({names[1]})")
+    for i, (n, X) in enumerate(zip(names[3:], cubes[3:]), 1):
+        lhs = assoc_form(B, i)(1, 0) * assoc_form(C, i)(1, 0)
+        corner = (X.coeffs[4], X.coeffs[0])
+        if lhs != assoc_form(A, i)(*corner):
+            reasons.append(
+                f"corner normalization fails at {n}: "
+                f"{lhs} != Q{i}({names[0]}){corner}"
+            )
+    return reasons
 
 
 def verify_cube_composition(
@@ -205,86 +244,30 @@ def verify_cube_composition(
 
     Conditions, all coefficient-exact: the six-slot identity
     (B*C)(x,y,z;u,v,w) = A(R-sigma(x,u), S-sigma(y,v), T-sigma(z,w)) on all
-    4096 basis tuples (complete, by multilinearity), the form matches
+    2^6 = 64 basis tuples (complete, by multilinearity), the form matches
     Q1(R) = Q1(A) and Q2(R) = Q1(B), the three corner product equations, and
     equality of all six discriminants.
     """
-    reasons = []
-    D = cube_disc(A)
-    for name, X in (("B", B), ("C", C), ("R", R), ("S", S), ("T", T)):
-        if cube_disc(X) != D:
-            reasons.append(f"disc({name}) != disc(A)")
-
-    QA, QB, QC = assoc_forms(A), assoc_forms(B), assoc_forms(C)
-    if assoc_form(R, 1) != QA[0]:
-        reasons.append("Q1(R) != Q1(A)")
-    if assoc_form(R, 2) != QB[0]:
-        reasons.append("Q2(R) != Q1(B)")
-    for name, X, i in (("R", R, 0), ("S", S, 1), ("T", T, 2)):
-        lhs = QB[i](1, 0) * QC[i](1, 0)
-        rhs = QA[i](X.coeffs[4], X.coeffs[0])
-        if lhs != rhs:
-            reasons.append(
-                f"corner normalization fails at {name}: "
-                f"{lhs} != Q{i + 1}(A)({X.coeffs[4]}, {X.coeffs[0]})"
-            )
-
+    reasons = _witness_reasons("ABCRST", (A, B, C, R, S, T))
     if cube_disc(B) != cube_disc(C):
         # the product form is undefined across discriminants; the disc
         # reasons recorded above already carry the verdict
         return VerifyResult(False, reasons)
-    lhs_form = form_product(B, C)
-    rp = _pair_table(cube_variants(R)[1])
-    sp = _pair_table(cube_variants(S)[1])
-    tp = _pair_table(cube_variants(T)[1])
-    a = A.coeff
-    pos = 0
-    for (x, y, z, u, v, w) in iter_product((0, 1), repeat=6):
-        left = lhs_form.coeffs[
-            ((((x * 2 + y) * 2 + z) * 2 + u) * 2 + v) * 2 + w
-        ]
-        right = sum(
-            a(i, j, k) * rp[i][x][u] * sp[j][y][v] * tp[k][z][w]
-            for i in (0, 1)
-            for j in (0, 1)
-            for k in (0, 1)
-        )
-        if left != right:
-            reasons.append(
-                f"identity fails at basis tuple (x,y,z,u,v,w)=({x},{y},{z},{u},{v},{w})"
-                f": {left} != {right}"
-            )
-            break
-        pos += 1
-    return VerifyResult(not reasons, reasons)
+    # the left side is read straight off the product form's coefficients
+    lhs_coeffs = form_product(B, C).coeffs
+    rp, sp, tp = _basis_pairs(R), _basis_pairs(S), _basis_pairs(T)
 
+    def lhs(x, y, z, u, v, w):
+        return lhs_coeffs[32 * x + 16 * y + 8 * z + 4 * u + 2 * v + w]
 
-def verify_cube_composition_iota(
-    A: Cube, B: Cube, C: Cube, R: Cube, S: Cube, T: Cube
-) -> bool:
-    """The equivalent phrasing through the inverse-class cube: compares
-    (B*C) against A-tilde composed with iota-flipped witness pairs."""
-    if not all(cube_disc(X) == cube_disc(A) for X in (B, C, R, S, T)):
-        return False
-    lhs_form = form_product(B, C)
-    tilde = cube_variants(A)[2]
-    rp = _pair_table(cube_variants(R)[0])
-    sp = _pair_table(cube_variants(S)[0])
-    tp = _pair_table(cube_variants(T)[0])
-    a = tilde.coeff
-    for (x, y, z, u, v, w) in iter_product((0, 1), repeat=6):
-        left = lhs_form.coeffs[
-            ((((x * 2 + y) * 2 + z) * 2 + u) * 2 + v) * 2 + w
-        ]
-        right = sum(
-            a(i, j, k) * rp[i][x][u] * sp[j][y][v] * tp[k][z][w]
-            for i in (0, 1)
-            for j in (0, 1)
-            for k in (0, 1)
-        )
-        if left != right:
-            return False
-    return True
+    def rhs(x, y, z, u, v, w):
+        r0, r1 = rp[x][u]
+        a0, a1 = _bilinear_pair(A, sp[y][v], tp[z][w])
+        return r0 * a0 + r1 * a1
+
+    return verify_at_points(
+        lhs, rhs, ((0, 1),) * 6, "basis tuple (x,y,z,u,v,w)", reasons
+    )
 
 
 class BalancedTriple:

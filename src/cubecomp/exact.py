@@ -2,14 +2,16 @@
 
 Integers are plain Python ints, rationals are fractions.Fraction (already
 normalized with positive denominator).  On top of those this module keeps
-dense multilinear forms, sparse multivariate integer polynomials, a small
-rational 2x2 matrix, and Lagrange-Gauss reduction of rank-2 lattices.
-No floating point anywhere.
+dense multilinear forms, sparse multivariate integer polynomials, the one
+point-evaluation engine every composition-law verifier but senary runs on,
+a small rational 2x2 matrix, and Lagrange-Gauss reduction of rank-2
+lattices.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product as iter_product
 from math import prod
 from typing import Iterable, Sequence
 
@@ -176,24 +178,12 @@ class MultiForm:
         return MultiForm(self.dims, [k * a for a in self.coeffs])
 
 
-def multiform_eval(f: MultiForm, vectors: Sequence[Sequence]) -> int:
-    return f.eval(vectors)
-
-
-def multiform_substitute(f: MultiForm, slot: int, matrix) -> MultiForm:
-    return f.substitute(slot, matrix)
-
-
-def multiform_mul(f: MultiForm, g: MultiForm) -> MultiForm:
-    return f.tensor(g)
-
-
 class Poly:
     """Sparse multivariate polynomial with integer coefficients.
 
     ``terms`` maps exponent tuples (one entry per variable) to nonzero
-    coefficients.  Used wherever an identity is not multilinear in whole
-    vector slots and therefore has to be checked by full expansion.
+    coefficients.  The senary identity, the one law not checked by
+    verify_at_points, is compared by full expansion in these.
     """
 
     __slots__ = ("nvars", "terms")
@@ -328,6 +318,29 @@ class VerifyResult:
         if self.ok:
             return "VerifyResult(ok)"
         return f"VerifyResult(failed: {'; '.join(self.reasons)})"
+
+
+# Any d + 1 of these are pairwise non-proportional, so a binary form of
+# degree d that vanishes at the first d + 1 of them is the zero form.
+BINARY_POINTS = ((1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (1, 4), (1, 5))
+
+
+def verify_at_points(lhs, rhs, slots, names: str, reasons=()) -> VerifyResult:
+    """Compare lhs(*p) with rhs(*p) at every p in the product of ``slots``.
+
+    ``slots`` holds one point set per argument, visited in row-major order.
+    The check is exact when each set decides its slot: the basis indices
+    of a multilinear slot, or BINARY_POINTS[:d + 1] for a slot where both
+    sides are binary forms of degree d (by induction over the slots).
+    ``reasons`` are the caller's failed side conditions and lead the
+    result; a disagreement adds the first point, labelled by ``names``.
+    """
+    for point in iter_product(*slots):
+        left, right = lhs(*point), rhs(*point)
+        if left != right:
+            fail = f"identity fails at {names}={point}: {left} != {right}"
+            return VerifyResult(False, (*reasons, fail))
+    return VerifyResult(not reasons, reasons)
 
 
 def _round_nearest(num: Fraction) -> int:

@@ -65,10 +65,6 @@ class QuadraticRing:
         return [self.one(), -self.one()]
 
 
-def ring_of_discriminant(D: int) -> QuadraticRing:
-    return QuadraticRing(D)
-
-
 class KElem:
     """Element (p + q*tau)/d of the fraction field of S(D), in lowest terms."""
 
@@ -206,22 +202,23 @@ class KElem:
         return out
 
 
+def _integer_cube_root(n: int):
+    """The integer r with r**3 == n, or None."""
+    m = abs(n)
+    # Newton from above: 2**ceil(bits/3) exceeds the root, and each step
+    # stays at or above floor(m**(1/3)) while r**3 > m
+    r = 1 << -(-m.bit_length() // 3)
+    while r * r * r > m:
+        r = (2 * r + m // (r * r)) // 3
+    if r * r * r != m:
+        return None
+    return r if n >= 0 else -r
+
+
 def _rational_cube_root(x: Fraction):
     """Exact cube root of a rational, or None."""
-
-    def icbrt(n: int):
-        if n < 0:
-            r = icbrt(-n)
-            return None if r is None else -r
-        r = round(n ** (1 / 3)) if n < 1 << 52 else 0
-        while r**3 < n:
-            r += 1
-        while r**3 > n:
-            r -= 1
-        return r if r**3 == n else None
-
-    a = icbrt(x.numerator)
-    b = icbrt(x.denominator)
+    a = _integer_cube_root(x.numerator)
+    b = _integer_cube_root(x.denominator)
     if a is None or b is None:
         return None
     return Fraction(a, b)

@@ -5,8 +5,8 @@ a0 x^3 + 3 a1 x^2 y + 3 a2 x y^2 + a3 y^3 unfolds into the triply symmetric
 cube [a0,a1,a1,a2,a1,a2,a2,a3], and a pair of quadratic forms with even
 cross coefficients folds into a doubly symmetric cube.  Discriminants,
 companions and identity elements all pull back from the cube layer; the
-composition identities specific to these spaces are verified here by full
-polynomial expansion.
+composition identities specific to these spaces are verified here at
+enough points of each binary slot to decide them exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from __future__ import annotations
 from .bqf import BQF, compose_dirichlet, principal_form, reduce as bqf_reduce
 from .cubes import (
     Cube,
-    assoc_form,
+    _bilinear_pair,
+    _witness_reasons,
     assoc_forms,
     companion_cube,
     cube_disc,
@@ -22,8 +23,9 @@ from .cubes import (
     identity_cube,
     is_projective,
 )
-from .exact import InputError, Poly, UnsupportedDomainError
-from .qring import OrientedIdeal, kelem_cube_root, ring_of_discriminant
+from .exact import BINARY_POINTS, InputError, UnsupportedDomainError
+from .exact import VerifyResult, verify_at_points
+from .qring import OrientedIdeal, QuadraticRing, kelem_cube_root
 
 
 class BinaryCubic:
@@ -49,15 +51,6 @@ class BinaryCubic:
         return (self.a0, self.a1, self.a2, self.a3)
 
     def __call__(self, x, y):
-        return (
-            self.a0 * x**3
-            + 3 * self.a1 * x**2 * y
-            + 3 * self.a2 * x * y**2
-            + self.a3 * y**3
-        )
-
-    def poly(self, nvars: int, ix: int, iy: int) -> Poly:
-        x, y = Poly.var(nvars, ix), Poly.var(nvars, iy)
         return (
             self.a0 * x**3
             + 3 * self.a1 * x**2 * y
@@ -118,18 +111,24 @@ def cubicovariant(f: BinaryCubic) -> BinaryCubic:
     return BinaryCubic(*(2 * b + eps * a for a, b in zip(f.coeffs, fp.coeffs)))
 
 
-def syzygy_check(f: BinaryCubic) -> bool:
-    """f'^2 + eps f f' - m f^2 == Q_f(x,-y)^3, identically in (x, y)."""
+def syzygy_check(f: BinaryCubic) -> VerifyResult:
+    """f'^2 + eps f f' - m f^2 == Q_f(x,-y)^3, identically in (x, y).
+
+    Both sides are binary sextics, so the seven BINARY_POINTS decide it.
+    """
     d = cubic_disc(f)
     eps = d % 4
     m = (d - eps) // 4
     fp = cubic_companion(f)
     q = cubic_q(f)
-    x, y = Poly.var(2, 0), Poly.var(2, 1)
-    fpoly = f.poly(2, 0, 1)
-    fppoly = fp.poly(2, 0, 1)
-    qneg = q.a * x**2 - q.b * x * y + q.c * y**2
-    return fppoly * fppoly + eps * fpoly * fppoly - m * fpoly * fpoly == qneg**3
+
+    def lhs(p):
+        u, v = f(*p), fp(*p)
+        return v * v + eps * u * v - m * u * u
+
+    return verify_at_points(
+        lhs, lambda p: q(p[0], -p[1]) ** 3, (BINARY_POINTS,), "((x, y),)"
+    )
 
 
 def cubic_identity(D: int) -> BinaryCubic:
@@ -143,55 +142,36 @@ def cubic_identity(D: int) -> BinaryCubic:
     return f
 
 
-def _variant_pair_polys(X: Cube, variant: int, avars, bvars):
-    """The two bilinear forms of a cube variant, as polynomials.
-
-    Component i is sum_{s,t} V.coeff(i,s,t) * a_s * b_t for the chosen
-    involution image V of X; this is the vector the composition identities
-    feed into their outer form.
-    """
-    V = cube_variants(X)[variant] if variant >= 0 else X
-    out = []
-    for i in (0, 1):
-        comp = Poly.const(avars[0].nvars, 0)
-        for s in (0, 1):
-            for t in (0, 1):
-                comp = comp + V.coeff(i, s, t) * avars[s] * bvars[t]
-        out.append(comp)
-    return tuple(out)
-
-
 def verify_cubic_composition(
     f: BinaryCubic, g: BinaryCubic, h: BinaryCubic, R: Cube
-) -> bool:
+) -> VerifyResult:
     """Exact check that R witnesses [f] + [g] + [h] = [id].
 
     Conditions: the four-variable identity (g*h)((x,y);(u,v)) =
-    f(R-sigma((x,y),(u,v))), the form matches Q1(R) = Q_f and Q2(R) = Q_g,
-    the corner product equation Q_g(1,0) Q_h(1,0) = Q_f(r211, r111), and
-    equal discriminants throughout.
+    f(R-sigma((x,y),(u,v))), cubic in (x, y) and in (u, v) and so decided
+    on the 4x4 grid of BINARY_POINTS[:4]; the form matches Q1(R) = Q_f and
+    Q2(R) = Q_g; the corner product equation Q_g(1,0) Q_h(1,0) =
+    Q_f(r211, r111); and equal discriminants throughout.
     """
-    D = cubic_disc(f)
-    if cubic_disc(g) != D or cubic_disc(h) != D or cube_disc(R) != D:
-        return False
-    eps = D % 4
-    qf, qg, qh = cubic_q(f), cubic_q(g), cubic_q(h)
-    if assoc_form(R, 1) != qf or assoc_form(R, 2) != qg:
-        return False
-    if qg(1, 0) * qh(1, 0) != qf(R.coeffs[4], R.coeffs[0]):
-        return False
+    reasons = _witness_reasons(
+        "fghR", (cubic_embed(f), cubic_embed(g), cubic_embed(h), R)
+    )
+    eps = cubic_disc(f) % 4
+    gc, hc = cubic_companion(g), cubic_companion(h)
+    sigma = cube_variants(R)[1]
 
-    xy = (Poly.var(4, 0), Poly.var(4, 1))
-    uv = (Poly.var(4, 2), Poly.var(4, 3))
-    gp = g.poly(4, 0, 1)
-    hp = h.poly(4, 2, 3)
-    gcp = cubic_companion(g).poly(4, 0, 1)
-    hcp = cubic_companion(h).poly(4, 2, 3)
-    lhs = gp * hcp + gcp * hp + eps * gp * hp
-    r0, r1 = _variant_pair_polys(R, 1, xy, uv)
-    a0, a1, a2, a3 = f.coeffs
-    rhs = a0 * r0**3 + 3 * a1 * r0**2 * r1 + 3 * a2 * r0 * r1**2 + a3 * r1**3
-    return lhs == rhs
+    def lhs(xy, uv):
+        gv, hv = g(*xy), h(*uv)
+        return gv * hc(*uv) + gc(*xy) * hv + eps * gv * hv
+
+    points = BINARY_POINTS[:4]
+    return verify_at_points(
+        lhs,
+        lambda xy, uv: f(*_bilinear_pair(sigma, xy, uv)),
+        (points, points),
+        "((x, y), (u, v))",
+        reasons,
+    )
 
 
 def _cubic_ideal_data(f: BinaryCubic):
@@ -203,7 +183,7 @@ def _cubic_ideal_data(f: BinaryCubic):
     (I, I, delta^{-1} I).
     """
     D = cubic_disc(f)
-    ring = ring_of_discriminant(D)
+    ring = QuadraticRing(D)
     fp = cubic_companion(f)
     alpha = ring.element(fp.a1, f.a1)
     beta = ring.element(fp.a2, f.a2)
@@ -337,62 +317,32 @@ def pair_companion(F: PairBQF) -> PairBQF:
 
 def verify_pair_composition(
     F: PairBQF, G: PairBQF, H: PairBQF, R: Cube, S: Cube
-) -> bool:
+) -> VerifyResult:
     """Exact check that (R, S) witnesses [F] + [G] + [H] = [id].
 
     The eight-variable identity compares (G*H)((x,y);(u,v)) against
     F(R-sigma(x,u), S-sigma(y,v)); both witness slots carry the sigma
     involution, the reading fixed once by the discriminant -31 golden
-    composition.  The form conditions Q1(R) = Q1(F), Q2(R) = Q1(G) and both
-    corner product equations are checked alongside.
+    composition.  Both sides are linear in x and u and quadratic in y and
+    v, so the 2*3*2*3 grid of leading BINARY_POINTS decides it.  The form
+    conditions Q1(R) = Q1(F), Q2(R) = Q1(G) and both corner product
+    equations are checked alongside.
     """
-    D = pair_disc(F)
-    if pair_disc(G) != D or pair_disc(H) != D:
-        return False
-    if cube_disc(R) != D or cube_disc(S) != D:
-        return False
-    eps = D % 4
-    AF, AG, AH = pair_embed(F), pair_embed(G), pair_embed(H)
-    if assoc_form(R, 1) != assoc_form(AF, 1):
-        return False
-    if assoc_form(R, 2) != assoc_form(AG, 1):
-        return False
-    if assoc_form(AG, 1)(1, 0) * assoc_form(AH, 1)(1, 0) != assoc_form(AF, 1)(
-        R.coeffs[4], R.coeffs[0]
-    ):
-        return False
-    if assoc_form(AG, 2)(1, 0) * assoc_form(AH, 2)(1, 0) != assoc_form(AF, 2)(
-        S.coeffs[4], S.coeffs[0]
-    ):
-        return False
-
-    xv = (Poly.var(8, 0), Poly.var(8, 1))
-    yv = (Poly.var(8, 2), Poly.var(8, 3))
-    uv = (Poly.var(8, 4), Poly.var(8, 5))
-    vv = (Poly.var(8, 6), Poly.var(8, 7))
-
-    def pair_poly(P, xvars, yvars):
-        return xvars[0] * (
-            P.f1.a * yvars[0] ** 2
-            + P.f1.b * yvars[0] * yvars[1]
-            + P.f1.c * yvars[1] ** 2
-        ) + xvars[1] * (
-            P.f2.a * yvars[0] ** 2
-            + P.f2.b * yvars[0] * yvars[1]
-            + P.f2.c * yvars[1] ** 2
-        )
-
-    gp = pair_poly(G, xv, yv)
-    hp = pair_poly(H, uv, vv)
-    gcp = pair_poly(pair_companion(G), xv, yv)
-    hcp = pair_poly(pair_companion(H), uv, vv)
-    lhs = gp * hcp + gcp * hp + eps * gp * hp
-
-    rx = _variant_pair_polys(R, 1, xv, uv)
-    sy = _variant_pair_polys(S, 1, yv, vv)
-    rhs = rx[0] * (
-        F.f1.a * sy[0] ** 2 + F.f1.b * sy[0] * sy[1] + F.f1.c * sy[1] ** 2
-    ) + rx[1] * (
-        F.f2.a * sy[0] ** 2 + F.f2.b * sy[0] * sy[1] + F.f2.c * sy[1] ** 2
+    reasons = _witness_reasons(
+        "FGHRS", (pair_embed(F), pair_embed(G), pair_embed(H), R, S)
     )
-    return lhs == rhs
+    eps = pair_disc(F) % 4
+    Gc, Hc = pair_companion(G), pair_companion(H)
+    rs, ss = cube_variants(R)[1], cube_variants(S)[1]
+
+    def lhs(x, y, u, v):
+        gv, hv = G(x, y), H(u, v)
+        return gv * Hc(u, v) + Gc(x, y) * hv + eps * gv * hv
+
+    def rhs(x, y, u, v):
+        return F(_bilinear_pair(rs, x, u), _bilinear_pair(ss, y, v))
+
+    lin, quad = BINARY_POINTS[:2], BINARY_POINTS[:3]
+    return verify_at_points(
+        lhs, rhs, (lin, quad, lin, quad), "(x, y, u, v)", reasons
+    )

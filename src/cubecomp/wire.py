@@ -31,8 +31,9 @@ def _parse_int(v) -> int:
         return v
     if isinstance(v, str):
         s = v.strip()
-        neg = s.startswith("-")
-        if (s[1:] if neg else s).isdigit():
+        digits = s[1:] if s.startswith("-") else s
+        # str.isdigit also admits digits int() rejects, such as "²"
+        if digits.isascii() and digits.isdigit():
             return int(s)
     raise InputError(f"not an integer: {v!r}")
 

@@ -120,6 +120,17 @@ def test_compose_rejects_disc_mismatch(tmp_path, capsys):
     assert code == 2
 
 
+def test_compose_rejects_non_ascii_digits(tmp_path, capsys):
+    # "²".isdigit() is true, but int() rejects it
+    env = json.loads(dumps_envelope("bqf", -47, [BQF(2, 1, 6), BQF(2, -1, 6)]))
+    env["discriminant"] = "\u00b2"
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps(env))
+    code, out, err = _run(capsys, ["compose", "--in", str(p)])
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_compose_needs_two_forms(tmp_path, capsys):
     p = tmp_path / "in.json"
     p.write_text(dumps_envelope("bqf", -47, [BQF(1, 1, 12)]))
@@ -169,6 +180,56 @@ def test_verify_perturbed_witness_reports_tuple(tmp_path, capsys):
     data = json.loads(out)
     assert data["verdict"] == "failed"
     assert any("basis tuple" in r for r in data["reasons"])
+
+
+@pytest.mark.parametrize(
+    "law,fixture,witness",
+    [
+        ("cubic", "cubic_disc_8.json", 3),
+        ("pair", "pair_disc_m31.json", 4),
+        ("quat", "quat_disc_m47.json", 5),
+    ],
+)
+def test_verify_perturbed_witness_names_the_failure(
+    law, fixture, witness, tmp_path, capsys
+):
+    env = parse_envelope(open(_fixture_path(fixture)).read())
+    objs = env.objects
+    co = list(objs[witness].coeffs)
+    co[7] += 1
+    objs[witness] = type(objs[witness])(tuple(co))
+    p = tmp_path / "in.json"
+    p.write_text(dumps_envelope(env.space, env.discriminant, objs))
+    code, out, err = _run(
+        capsys, ["verify", "--law", law, "--in", str(p), "--json"]
+    )
+    assert code == 1
+    reasons = json.loads(out)["reasons"]
+    assert any(r.startswith("disc(") for r in reasons)
+    assert any(r.startswith("identity fails at ") for r in reasons)
+
+
+def test_verify_gauss_names_the_failure(tmp_path, capsys, monkeypatch):
+    # every cube carries a true Gauss instance, so the bilinear data is
+    # perturbed on its way from the cube to the verifier
+    import cubecomp.cubes
+
+    real = cubecomp.cubes.GaussBilinearData
+
+    def perturbed(amat, bmat):
+        (a, b), row = amat
+        return real(((a + 1, b), row), bmat)
+
+    monkeypatch.setattr(cubecomp.cubes, "GaussBilinearData", perturbed)
+    p = tmp_path / "in.json"
+    p.write_text(dumps_envelope("cube", -47, [CUBE_A]))
+    code, out, err = _run(
+        capsys, ["verify", "--law", "gauss", "--in", str(p), "--json"]
+    )
+    assert code == 1
+    reasons = json.loads(out)["reasons"]
+    assert any(r.startswith("normalization fails") for r in reasons)
+    assert any(r.startswith("identity fails at (x, y)=") for r in reasons)
 
 
 def test_verify_senary(capsys):

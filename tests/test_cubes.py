@@ -28,7 +28,6 @@ from cubecomp.cubes import (
     slices,
     triple_to_cube,
     verify_cube_composition,
-    verify_cube_composition_iota,
 )
 from cubecomp.exact import InputError, UnsupportedDomainError
 from cubecomp.qring import KElem, OrientedIdeal, QuadraticRing
@@ -168,13 +167,6 @@ def test_gauss_instance_on_random_cubes():
 def test_worked_composition_verifies():
     res = verify_cube_composition(CUBE_A, CUBE_B, CUBE_C, CUBE_R, CUBE_S, CUBE_T)
     assert res.ok and not res.reasons
-
-
-def test_alternate_involution_form_of_the_identity():
-    # whenever the sigma reading holds, the flipped reading holds as well
-    assert verify_cube_composition_iota(
-        CUBE_A, CUBE_B, CUBE_C, CUBE_R, CUBE_S, CUBE_T
-    )
 
 
 def test_perturbed_witness_fails_with_tuple_reason():

@@ -8,9 +8,9 @@ from cubecomp.qring import (
     KElem,
     OrientedIdeal,
     QuadraticRing,
+    _rational_cube_root,
     kelem_cube_root,
     principal_generator,
-    ring_of_discriminant,
 )
 
 
@@ -68,6 +68,18 @@ def test_cube_root_rejects_non_cubes():
     # tau has norm 6; 6 is not a rational cube, so tau cannot be one either
     assert kelem_cube_root(ring.tau()) is None
     assert kelem_cube_root(ring.element(2)) is None
+
+
+def test_rational_cube_root_of_large_integers():
+    # 3^45 and 3^54 lie past 2^52, where a float seed loses the root
+    for b in (3**15, 3**18, 10**20 - 1, 10**20, 10**20 + 7):
+        n = b**3
+        assert _rational_cube_root(Fraction(n)) == b
+        assert _rational_cube_root(Fraction(-n, 8)) == Fraction(-b, 2)
+        assert _rational_cube_root(Fraction(n + 1)) is None
+        assert _rational_cube_root(Fraction(n - 1)) is None
+    assert _rational_cube_root(Fraction(0)) == 0
+    assert _rational_cube_root(Fraction(1, 27)) == Fraction(1, 3)
 
 
 def test_ordered_basis_orientation():
@@ -128,7 +140,7 @@ def test_principal_generator_none_for_nonprincipal():
 
 
 def test_fractional_scaling_keeps_norms_consistent():
-    ring = ring_of_discriminant(-23)
+    ring = QuadraticRing(-23)
     I = OrientedIdeal.from_ordered_basis(ring, (ring.element(2), ring.tau()))
     half = I.scale(KElem(ring, Fraction(1, 2)))
     assert half.norm() == I.norm() * Fraction(1, 4)

@@ -95,7 +95,9 @@ def test_perturbed_cubic_witness_fails():
 def test_cubic_verify_rejects_disc_mismatch_quietly():
     other = BinaryCubic(0, 1, 0, 3)
     assert cubic_disc(other) != 8
-    assert verify_cubic_composition(CUBIC_F, CUBIC_G, other, CUBIC_R) is False
+    res = verify_cubic_composition(CUBIC_F, CUBIC_G, other, CUBIC_R)
+    assert not res.ok
+    assert any("disc(h)" in r for r in res.reasons)
 
 
 def test_syzygy_random_cubics():
