@@ -11,7 +11,6 @@ front end (cli).
 
 from .exact import (
     BINARY_POINTS,
-    IMat2,
     InputError,
     MultiForm,
     Poly,

@@ -24,12 +24,13 @@ from .cubes import (
     identity_cube,
     slices,
 )
+from . import exact
 from .exact import InputError, MultiForm, Poly, VerifyResult, verify_at_points
 from .qring import QuadraticRing
 
 
 def _check_alternating(m):
-    rows = tuple(tuple(int(x) for x in row) for row in m)
+    rows = tuple(tuple(exact._as_int(x) for x in row) for row in m)
     if len(rows) != 4 or any(len(r) != 4 for r in rows):
         raise InputError("expected a 4x4 matrix")
     for i in range(4):
@@ -115,11 +116,11 @@ def pair_pfaffian_form(P: QuatAltPair) -> BQF:
     return BQF(p, q, c)
 
 
-def pair_disc(P: QuatAltPair) -> int:
+def quat_disc(P: QuatAltPair) -> int:
     return pair_pfaffian_form(P).disc()
 
 
-def pair_companion(P: QuatAltPair) -> QuatAltPair:
+def quat_companion(P: QuatAltPair) -> QuatAltPair:
     """Companion pair via the first-slot substitution built from the
     Pfaffian form, mirroring the cube companion's slice recipe."""
     form = pair_pfaffian_form(P)
@@ -142,12 +143,12 @@ def pair_companion(P: QuatAltPair) -> QuatAltPair:
 
 def pair_form_product(P: QuatAltPair, Q: QuatAltPair) -> MultiForm:
     """P x Q' + P' x Q + eps P x Q as a (2,4,4,2,4,4) tensor."""
-    d = pair_disc(P)
-    if pair_disc(Q) != d:
+    d = quat_disc(P)
+    if quat_disc(Q) != d:
         raise InputError("discriminant mismatch")
     eps = d % 4
     a, b = P.avatar(), Q.avatar()
-    ac, bc = pair_companion(P).avatar(), pair_companion(Q).avatar()
+    ac, bc = quat_companion(P).avatar(), quat_companion(Q).avatar()
     out = a.tensor(bc) + ac.tensor(b)
     if eps:
         out = out + a.tensor(b)
@@ -206,7 +207,7 @@ class SenaryAlt3:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(exact._as_int(c) for c in coeffs)
         if len(coeffs) != 20:
             raise InputError("a senary alternating 3-form has 20 coefficients")
         object.__setattr__(self, "coeffs", coeffs)
@@ -299,9 +300,8 @@ def senary_identity_pair(D: int):
         det = _det3((basis[i], basis[j], basis[k]))
         if not det.is_integral():
             raise InputError("determinant fell outside the ring")
-        p, q = det.coords()
-        ap_parts.append(int(p))
-        a_parts.append(int(q))
+        ap_parts.append(det.p)
+        a_parts.append(det.q)
     E = SenaryAlt3(a_parts)
     Ep = SenaryAlt3(ap_parts)
     assert E == wedge222(identity_cube(D))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from math import gcd, isqrt
 
+from . import exact
 from .exact import BINARY_POINTS, InputError, UnsupportedDomainError
 from .exact import VerifyResult, verify_at_points
 from .qring import KElem, OrientedIdeal, QuadraticRing
@@ -26,8 +27,10 @@ class BQF:
     __slots__ = ("a", "b", "c")
 
     def __init__(self, a, b, c):
-        for name, v in (("a", a), ("b", b), ("c", c)):
-            object.__setattr__(self, name, int(v))
+        as_int = exact._as_int
+        object.__setattr__(self, "a", as_int(a))
+        object.__setattr__(self, "b", as_int(b))
+        object.__setattr__(self, "c", as_int(c))
 
     def __setattr__(self, name, value):
         raise AttributeError("BQF is immutable")
@@ -68,7 +71,7 @@ class BQF:
 
 def sl2_act(Q: BQF, g) -> BQF:
     """Q^g(x, y) = Q(p*x + q*y, r*x + s*y) for g = [[p, q], [r, s]], det 1."""
-    (p, q), (r, s) = ((int(t) for t in row) for row in g)
+    (p, q), (r, s) = ((exact._as_int(t) for t in row) for row in g)
     if p * s - q * r != 1:
         raise InputError("matrix must have determinant 1")
     a2 = Q(p, r)
@@ -83,12 +86,6 @@ def principal_form(D: int) -> BQF:
     if D % 4 == 1:
         return BQF(1, 1, (1 - D) // 4)
     raise InputError("a discriminant must be 0 or 1 mod 4")
-
-
-def _mat_mul(g, h):
-    (a, b), (c, d) = g
-    (p, q), (r, s) = h
-    return ((a * p + b * r, a * q + b * s), (c * p + d * r, c * q + d * s))
 
 
 _ID2 = ((1, 0), (0, 1))
@@ -119,7 +116,7 @@ def _reduce_posdef(Q: BQF):
     while True:
         if a > c:
             a, b, c = c, -b, a
-            g = _mat_mul(g, _SWAP)
+            g = exact._mat_mul(g, _SWAP)
             continue
         if b > a or b <= -a:
             # the unique t putting b + 2at into (-a, a]
@@ -128,7 +125,7 @@ def _reduce_posdef(Q: BQF):
             b2 = b + 2 * a * t
             c2 = a * t * t + b * t + c
             a, b, c = a, b2, c2
-            g = _mat_mul(g, shift)
+            g = exact._mat_mul(g, shift)
             continue
         break
     # tie conventions: b >= 0 when |b| = a or a = c
@@ -138,10 +135,10 @@ def _reduce_posdef(Q: BQF):
             b2 = b + 2 * a
             c2 = a + b + c
             a, b, c = a, b2, c2
-            g = _mat_mul(g, shift)
+            g = exact._mat_mul(g, shift)
         else:  # a == c, flip sign of b by the swap
             a, b, c = c, -b, a
-            g = _mat_mul(g, _SWAP)
+            g = exact._mat_mul(g, _SWAP)
     return BQF(a, b, c), g
 
 
@@ -176,7 +173,7 @@ def _reduce_indefinite(Q: BQF):
     guard = 0
     while not _indef_reduced(cur, s):
         cur, step = _rho(cur, s)
-        g = _mat_mul(g, step)
+        g = exact._mat_mul(g, step)
         guard += 1
         if guard > 10000:
             raise InputError("reduction failed to terminate")
@@ -186,7 +183,7 @@ def _reduce_indefinite(Q: BQF):
     probe, gp = cur, g
     while True:
         probe, step = _rho(probe, s)
-        gp = _mat_mul(gp, step)
+        gp = exact._mat_mul(gp, step)
         if probe == cur:
             break
         cycle.append(probe)
@@ -230,27 +227,12 @@ def _coprime_representative(Q: BQF, n: int) -> BQF:
                 v = Q(x, y)
                 if v != 0 and gcd(v, n) == 1:
                     # extend (x, y) to an SL2 matrix as the first column
-                    u, w = _bezout_pair(x, y)
+                    u, w = exact._bezout(x, y)
                     gmat = ((x, -w), (y, u))
                     assert x * u + y * w == 1
                     return sl2_act(Q, gmat)
         bound *= 2
     raise InputError("no representative coprime to the modulus found")
-
-
-def _bezout_pair(x: int, y: int):
-    """(u, w) with x*u + y*w = 1 for coprime x, y."""
-    old_r, r = x, y
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-    return old_s, old_t
 
 
 def compose_dirichlet(Q1: BQF, Q2: BQF) -> BQF:
@@ -287,7 +269,7 @@ def compose_dirichlet(Q1: BQF, Q2: BQF) -> BQF:
     m1, m2 = 2 * abs(a1), 2 * abs(a2)
     g = gcd(m1, m2)
     assert (b1 - b2) % g == 0
-    u, _ = _bezout_pair(m1 // g, m2 // g)
+    u, _ = exact._bezout(m1 // g, m2 // g)
     lcm = m1 // g * m2
     B = (b1 + m1 * (((b2 - b1) // g) * u % (m2 // g))) % lcm
     a3 = a1 * a2
@@ -302,8 +284,8 @@ class GaussBilinearData:
     __slots__ = ("amat", "bmat")
 
     def __init__(self, amat, bmat):
-        amat = tuple(tuple(int(t) for t in row) for row in amat)
-        bmat = tuple(tuple(int(t) for t in row) for row in bmat)
+        amat = tuple(tuple(exact._as_int(t) for t in row) for row in amat)
+        bmat = tuple(tuple(exact._as_int(t) for t in row) for row in bmat)
         for mat in (amat, bmat):
             if len(mat) != 2 or any(len(r) != 2 for r in mat):
                 raise InputError("bilinear data must be two 2x2 matrices")
@@ -379,9 +361,6 @@ class ClassGroupTable:
             if rep == canon:
                 return i
         raise InputError(f"{Q!r} is not in any tabulated class")
-
-    def compose(self, i: int, j: int) -> int:
-        return self.table[i][j]
 
     def identity_index(self) -> int:
         return self.index_of(principal_form(self.D))

@@ -394,6 +394,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # integers of any size parse and print; interpreters with an int/str
+    # digit limit (3.10.7+, 3.11+) get it lifted for this call only
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def _main(argv) -> int:
     args = _build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:

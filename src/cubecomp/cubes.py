@@ -15,6 +15,7 @@ from itertools import product as iter_product
 
 from .bqf import BQF, GaussBilinearData, compose_dirichlet, principal_form
 from .bqf import ideal_to_bqf, reduce as bqf_reduce, verify_gauss_identity
+from . import exact
 from .exact import BINARY_POINTS, InputError, MultiForm, UnsupportedDomainError
 from .exact import VerifyResult, verify_at_points
 from .qring import KElem, OrientedIdeal, QuadraticRing, principal_generator
@@ -26,7 +27,7 @@ class Cube:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(exact._as_int(c) for c in coeffs)
         if len(coeffs) != 8:
             raise InputError("a cube has exactly eight coefficients")
         object.__setattr__(self, "coeffs", coeffs)
@@ -109,7 +110,7 @@ def gamma_act(A: Cube, g1, g2, g3) -> Cube:
     """
     f = A.trilinear()
     for slot, g in enumerate((g1, g2, g3)):
-        (p, q), (r, s) = ((int(t) for t in row) for row in g)
+        (p, q), (r, s) = ((exact._as_int(t) for t in row) for row in g)
         if p * s - q * r != 1:
             raise InputError("matrix must have determinant 1")
         f = f.substitute(slot, ((p, r), (q, s)))
@@ -345,18 +346,8 @@ def _normalization_moves():
     moves.extend(singles)
     for m1 in singles[:12]:
         for m2 in singles[:12]:
-            moves.append(
-                tuple(
-                    _mul2(a, b) for a, b in zip(m1, m2)
-                )
-            )
+            moves.append(tuple(exact._mat_mul(a, b) for a, b in zip(m1, m2)))
     return moves
-
-
-def _mul2(g, h):
-    (a, b), (c, d) = g
-    (p, q), (r, s) = h
-    return ((a * p + b * r, a * q + b * s), (c * p + d * r, c * q + d * s))
 
 
 def _inv2(g):

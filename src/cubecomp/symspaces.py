@@ -23,6 +23,7 @@ from .cubes import (
     identity_cube,
     is_projective,
 )
+from . import exact
 from .exact import BINARY_POINTS, InputError, UnsupportedDomainError
 from .exact import VerifyResult, verify_at_points
 from .qring import OrientedIdeal, QuadraticRing, kelem_cube_root
@@ -38,10 +39,11 @@ class BinaryCubic:
     __slots__ = ("a0", "a1", "a2", "a3")
 
     def __init__(self, a0, a1, a2, a3):
-        object.__setattr__(self, "a0", int(a0))
-        object.__setattr__(self, "a1", int(a1))
-        object.__setattr__(self, "a2", int(a2))
-        object.__setattr__(self, "a3", int(a3))
+        as_int = exact._as_int
+        object.__setattr__(self, "a0", as_int(a0))
+        object.__setattr__(self, "a1", as_int(a1))
+        object.__setattr__(self, "a2", as_int(a2))
+        object.__setattr__(self, "a3", as_int(a3))
 
     def __setattr__(self, name, value):
         raise AttributeError("BinaryCubic is immutable")

@@ -127,12 +127,6 @@ class Envelope:
     def objects(self):
         return [obj for _, obj in self.entries]
 
-    def by_role(self, role):
-        for r, obj in self.entries:
-            if r == role:
-                return obj
-        raise InputError(f"no object with role {role!r}")
-
 
 def encode_envelope(space: str, discriminant: int, objects, roles=None) -> dict:
     if space not in SPACES:

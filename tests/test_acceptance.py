@@ -169,15 +169,14 @@ def test_criterion_08_class_group_oracle():
         n = len(tbl.representatives)
         e = tbl.identity_index()
         for i in range(n):
-            assert tbl.compose(i, e) == tbl.compose(e, i) == i
+            assert tbl.table[i][e] == tbl.table[e][i] == i
             inv = tbl.inverse_of(i)
-            assert tbl.compose(i, inv) == e
+            assert tbl.table[i][inv] == e
             for j in range(n):
-                assert tbl.compose(i, j) == tbl.compose(j, i)
+                assert tbl.table[i][j] == tbl.table[j][i]
                 for k in range(n):
-                    assert tbl.compose(tbl.compose(i, j), k) == tbl.compose(
-                        i, tbl.compose(j, k)
-                    )
+                    ij, jk = tbl.table[i][j], tbl.table[j][k]
+                    assert tbl.table[ij][k] == tbl.table[i][jk]
 
     for D in (-47, -23):
         tbl = enumerate_class_group(D)

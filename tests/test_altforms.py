@@ -6,8 +6,8 @@ import pytest
 from cubecomp.altforms import (
     QuatAltPair,
     SenaryAlt3,
-    pair_companion,
-    pair_disc,
+    quat_companion,
+    quat_disc,
     pair_pfaffian_form,
     pfaffian,
     phi,
@@ -117,7 +117,7 @@ def test_pair_pfaffian_form_recovers_q1():
     for _ in range(60):
         A = Cube(tuple(rng.randint(-9, 9) for _ in range(8)))
         assert pair_pfaffian_form(phi(A)) == assoc_form(A, 1)
-        assert pair_disc(phi(A)) == cube_disc(A)
+        assert quat_disc(phi(A)) == cube_disc(A)
 
 
 def test_pair_companion_intertwines_with_cube_companion():
@@ -127,7 +127,7 @@ def test_pair_companion_intertwines_with_cube_companion():
         A = Cube(tuple(rng.randint(-9, 9) for _ in range(8)))
         if cube_disc(A) == 0:
             continue
-        assert pair_companion(phi(A)) == phi(companion_cube(A))
+        assert quat_companion(phi(A)) == phi(companion_cube(A))
         checked += 1
 
 

@@ -124,9 +124,9 @@ def test_class_table_group_structure():
         n = len(tbl.representatives)
         e = tbl.identity_index()
         for i in range(n):
-            assert tbl.compose(i, e) == i
+            assert tbl.table[i][e] == i
             j = tbl.inverse_of(i)
-            assert tbl.compose(i, j) == e
+            assert tbl.table[i][j] == e
 
 
 def test_form_ideal_dictionary_round_trip():

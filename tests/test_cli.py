@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 from importlib import resources
 
 import pytest
@@ -346,3 +347,27 @@ def test_output_is_deterministic(capsys):
         return data
 
     assert one_run() == one_run()
+
+
+@pytest.mark.parametrize("as_json", [True, False])
+def test_compose_beyond_the_int_str_digit_limit(tmp_path, capsys, as_json):
+    # [1, 1, 10^4400] has D = 1 - 4*10^4400 = -(3 followed by 4,400 nines),
+    # past CPython's default limit of 4,300 digits; the text is built by
+    # hand because this process keeps its limit
+    c = "1" + "0" * 4400
+    form = {"kind": "bqf", "coeffs": ["1", "1", c]}
+    env = {"space": "bqf", "discriminant": "-3" + "9" * 4400,
+           "objects": [form, form]}
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps(env))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    argv = ["compose", "--in", str(p)] + (["--json"] if as_json else [])
+    code, out, err = _run(capsys, argv)
+    assert code == 0, err
+    assert err == ""
+    if as_json:
+        product = json.loads(out)["artifacts"][0]["objects"][0]["coeffs"]
+        assert product == ["1", "1", c]
+    else:
+        assert f"composed class: [1, 1, {c}]" in out
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit

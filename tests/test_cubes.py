@@ -262,7 +262,7 @@ def test_compose_matches_form_table():
     Y = cube_class_compose(CUBE_A, CUBE_B)
     i1 = tbl.index_of(assoc_form(CUBE_A, 1))
     i2 = tbl.index_of(assoc_form(CUBE_B, 1))
-    assert tbl.index_of(assoc_form(Y, 1)) == tbl.compose(i1, i2)
+    assert tbl.index_of(assoc_form(Y, 1)) == tbl.table[i1][i2]
 
 
 def test_compose_positive_disc_unsupported():

@@ -1,15 +1,23 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from cubecomp.altforms import QuatAltPair, SenaryAlt3
+from cubecomp.bqf import BQF, GaussBilinearData, sl2_act
+from cubecomp.cubes import Cube, gamma_act
 from cubecomp.exact import (
-    IMat2,
     InputError,
     MultiForm,
     Poly,
     VerifyResult,
     lagrange_gauss_reduce,
 )
+from cubecomp.qring import QuadraticRing
+from cubecomp.symspaces import BinaryCubic
+
+_ID = ((1, 0), (0, 1))
+_ALT = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
 
 
 def test_poly_binomial_cube():
@@ -71,13 +79,6 @@ def test_multiform_shape_mismatch():
         MultiForm((2,), [1, 2]) + MultiForm((3,), [1, 2, 3])
 
 
-def test_imat2_inverse_and_det():
-    m = IMat2(3, 1, 2, 1)
-    assert m.det() == 1
-    assert m * m.inverse() == IMat2.identity()
-    assert tuple(m.apply((1, 0))) == (3, 2)
-
-
 def test_verify_result_truthiness():
     assert VerifyResult(True)
     res = VerifyResult(False, ["because"])
@@ -98,3 +99,36 @@ def test_lagrange_gauss_finds_short_vector():
 def test_lagrange_gauss_rejects_indefinite_gram():
     with pytest.raises(InputError):
         lagrange_gauss_reduce(((1, 0), (0, 1)), (1, 0, -1))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: BQF(1.5, 1, 6),
+        lambda: Cube([0.9] * 8),
+        lambda: QuadraticRing(-23.9),
+        lambda: BinaryCubic(1, 0, 0, 1.0),
+        lambda: SenaryAlt3([0.5] + [0] * 19),
+        lambda: GaussBilinearData(((1, 0), (0, 1)), ((0, 1), (1, 0.5))),
+        lambda: sl2_act(BQF(1, 1, 6), ((1, 0.5), (0, 1))),
+        lambda: gamma_act(Cube([1] * 8), ((1, 0), (0, 1.0)), _ID, _ID),
+        lambda: QuatAltPair(_ALT, [[0, 0.5, 0, 0], [-0.5, 0, 0, 0],
+                                   [0, 0, 0, 0], [0, 0, 0, 0]]),
+        lambda: MultiForm((2.0,), [1, 2]),
+        lambda: BQF(True, 1, 6),
+        lambda: BQF("1", 1, 6),
+    ],
+    ids=["bqf", "cube", "ring", "cubic", "senary", "gauss-data", "sl2_act",
+         "gamma_act", "quat-pair", "multiform-dims", "bool", "str"],
+)
+def test_constructors_reject_inexact_integers(build):
+    with pytest.raises(InputError):
+        build()
+
+
+def test_constructors_accept_integral_fractions():
+    six = Fraction(6, 1)
+    assert BQF(1, 1, six) == BQF(1, 1, 6)
+    assert Cube([six] * 8) == Cube([6] * 8)
+    assert QuadraticRing(Fraction(-23)) == QuadraticRing(-23)
+    assert MultiForm((Fraction(2),), [six, 1]).dims == (2,)

@@ -80,10 +80,7 @@ def test_envelope_round_trip_with_roles():
     assert env.space == "cube"
     assert env.discriminant == -47
     assert env.objects == objs
-    assert env.by_role("A") == objs[0]
-    assert env.by_role("Q") == objs[1]
-    with pytest.raises(InputError):
-        env.by_role("missing")
+    assert env.entries == [("A", objs[0]), ("Q", objs[1])]
 
 
 def test_envelope_accepts_plain_int_discriminant():
