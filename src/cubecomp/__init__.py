@@ -12,6 +12,7 @@ front end (cli).
 from .exact import (
     BINARY_POINTS,
     InputError,
+    InternalError,
     MultiForm,
     Poly,
     UnsupportedDomainError,

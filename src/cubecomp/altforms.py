@@ -304,8 +304,8 @@ def senary_identity_pair(D: int):
         a_parts.append(det.q)
     E = SenaryAlt3(a_parts)
     Ep = SenaryAlt3(ap_parts)
-    assert E == wedge222(identity_cube(D))
-    assert Ep == wedge222(companion_cube(identity_cube(D)))
+    exact._ensure(E == wedge222(identity_cube(D)), "senary identity mismatch")
+    exact._ensure(Ep == wedge222(companion_cube(identity_cube(D))), "companion mismatch")
     return E, Ep
 
 

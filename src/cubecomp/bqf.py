@@ -170,13 +170,11 @@ def _reduce_indefinite(Q: BQF):
     s = isqrt(D)
     g = _ID2
     cur = Q  # a, c never vanish: D is nonsquare
-    guard = 0
+    # rho reaches a reduced form in finitely many steps and the reduced
+    # cycle is finite, so neither loop needs a cap
     while not _indef_reduced(cur, s):
         cur, step = _rho(cur, s)
         g = exact._mat_mul(g, step)
-        guard += 1
-        if guard > 10000:
-            raise InputError("reduction failed to terminate")
     # walk the cycle, track transforms, land on the lexicographically least
     cycle = [cur]
     transforms = [g]
@@ -188,8 +186,6 @@ def _reduce_indefinite(Q: BQF):
             break
         cycle.append(probe)
         transforms.append(gp)
-        if len(cycle) > 100000:
-            raise InputError("cycle enumeration failed to terminate")
     best = min(range(len(cycle)), key=lambda i: cycle[i].coeffs())
     return cycle[best], transforms[best], tuple(cycle)
 
@@ -229,7 +225,7 @@ def _coprime_representative(Q: BQF, n: int) -> BQF:
                     # extend (x, y) to an SL2 matrix as the first column
                     u, w = exact._bezout(x, y)
                     gmat = ((x, -w), (y, u))
-                    assert x * u + y * w == 1
+                    exact._ensure(x * u + y * w == 1, "Bezout extension is not in SL2")
                     return sl2_act(Q, gmat)
         bound *= 2
     raise InputError("no representative coprime to the modulus found")
@@ -268,12 +264,12 @@ def compose_dirichlet(Q1: BQF, Q2: BQF) -> BQF:
     # B = b1 (mod 2a1), B = b2 (mod 2a2); both ideals share parity of D
     m1, m2 = 2 * abs(a1), 2 * abs(a2)
     g = gcd(m1, m2)
-    assert (b1 - b2) % g == 0
+    exact._ensure((b1 - b2) % g == 0, "middle coefficients admit no CRT lift")
     u, _ = exact._bezout(m1 // g, m2 // g)
     lcm = m1 // g * m2
     B = (b1 + m1 * (((b2 - b1) // g) * u % (m2 // g))) % lcm
     a3 = a1 * a2
-    assert (B * B - D) % (4 * a3) == 0
+    exact._ensure((B * B - D) % (4 * a3) == 0, "united form is not integral")
     c3 = (B * B - D) // (4 * a3)
     return reduce(BQF(a3, B, c3)).canonical
 
@@ -476,7 +472,7 @@ def ideal_to_bqf(I: OrientedIdeal) -> BQF:
         if coef.denominator != 1:
             raise InputError("norm form is not integral on this basis")
     Q = BQF(A, Bc, C)
-    assert Q.disc() == I.ring.D
+    exact._ensure(Q.disc() == I.ring.D, "norm form has the wrong discriminant")
     return Q
 
 

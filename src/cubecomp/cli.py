@@ -5,7 +5,7 @@ a report (human text by default, a JSON document with --json) carrying the
 verdict, the reasons for any failure, the computed artifacts, and the wall
 time.  Exit codes: 0 for verified or composed, 1 when a verification comes
 back false, 2 for malformed input, 3 for a domain the exact routines do not
-cover.
+cover, 4 when one of the library's own correctness checks fails.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .cubes import (
     lemmermeyer_identity,
     verify_cube_composition,
 )
-from .exact import InputError, UnsupportedDomainError
+from .exact import InputError, InternalError, UnsupportedDomainError
 from .symspaces import (
     BinaryCubic,
     PairBQF,
@@ -417,6 +417,9 @@ def _main(argv) -> int:
     except UnsupportedDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except InternalError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 4
     rep.elapsed = time.perf_counter() - t0
     if args.json:
         print(json.dumps(rep.to_json(), indent=2))

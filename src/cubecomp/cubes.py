@@ -93,7 +93,7 @@ def assoc_forms(A: Cube):
 
 def cube_disc(A: Cube) -> int:
     d1, d2, d3 = (Q.disc() for Q in assoc_forms(A))
-    assert d1 == d2 == d3, "slicing broke the shared discriminant"
+    exact._ensure(d1 == d2 == d3, "slicing broke the shared discriminant")
     return d1
 
 
@@ -158,7 +158,7 @@ def companion_cube(A: Cube) -> Cube:
     via1 = f.substitute(0, L1)
     via2 = f.substitute(1, L2)
     via3 = f.substitute(2, L3)
-    assert via1 == via2 == via3, "companion construction disagrees across slots"
+    exact._ensure(via1 == via2 == via3, "companion construction disagrees across slots")
     return Cube(via1.coeffs)
 
 
@@ -327,33 +327,24 @@ class DualWitness:
         return f"DualWitness({self.R!r}, {self.S!r}, {self.T!r})"
 
 
-def _kelem_corner(ring: QuadraticRing, Ap: Cube, A: Cube, flat: int) -> KElem:
-    return KElem(ring, Ap.coeffs[flat], A.coeffs[flat])
+# shears tried per direction, in order; Q_i after the shear (p, q; r, s) in
+# slot i takes at the basis vectors the values Q_i(p, -q) and Q_i(-r, s)
+_SHEARS = (
+    ((1, 0), (0, 1)), ((1, 1), (0, 1)), ((1, 0), (1, 1)),
+    ((1, -1), (0, 1)), ((1, 0), (-1, 1)), ((2, 1), (1, 1)),
+)
 
 
-# deterministic normalization moves for vanishing corners: unipotent shears
-# in each direction with small parameters
-def _normalization_moves():
-    eye = ((1, 0), (0, 1))
-    singles = []
-    for t in (1, -1, 2, -2, 3, -3):
-        for shape in (((1, t), (0, 1)), ((1, 0), (t, 1))):
-            for slot in range(3):
-                g = [eye, eye, eye]
-                g[slot] = shape
-                singles.append(tuple(g))
-    moves = [(eye, eye, eye)]
-    moves.extend(singles)
-    for m1 in singles[:12]:
-        for m2 in singles[:12]:
-            moves.append(tuple(exact._mat_mul(a, b) for a, b in zip(m1, m2)))
-    return moves
-
-
-def _inv2(g):
-    (a, b), (c, d) = g
-    assert a * d - b * c == 1
-    return ((d, -b), (-c, a))
+def _shear(Q: BQF, cols):
+    """The first of _SHEARS after which Q is nonzero at the basis vectors
+    numbered in cols."""
+    # a nonzero form vanishes on at most two lines, and no two lines meet
+    # every candidate's needed columns, so one always qualifies
+    for g in _SHEARS:
+        (p, q), (r, s) = g
+        images = ((p, -q), (-r, s))
+        if all(Q(*images[c]) for c in cols):
+            return g
 
 
 def cube_to_triple(A: Cube) -> BalancedTriple:
@@ -361,52 +352,35 @@ def cube_to_triple(A: Cube) -> BalancedTriple:
 
     Bases come straight from the corner coefficients: alpha_1, alpha_2 from
     the (i, 1, 1) corners, beta_1, beta_2 from (2, j, 2)-type corners, and
-    gamma_1 = 1/beta_1, gamma_2 = 1/alpha_2.  When a needed corner vanishes,
-    a small deterministic list of shears is applied first and the resulting
-    bases are mapped back through the inverse shear, so the returned triple
-    always belongs to A itself.  The defining system, balancedness, and the
-    norm-form laws are all re-checked before returning.
+    gamma_1 = 1/beta_1, gamma_2 = 1/alpha_2.  alpha_2 and beta_1 must have
+    nonzero norm; when a corner norm vanishes (only at square
+    discriminants), one shear per direction, picked from the associated
+    forms, is applied first and the resulting bases are mapped back through
+    the inverse shear, so the returned triple always belongs to A itself.
+    The defining system, balancedness, and the norm-form laws are all
+    re-checked before returning.
     """
     D = cube_disc(A)
     if D == 0:
         raise InputError("degenerate cube")
     ring = QuadraticRing(D)
-    last_err = None
-    for move in _normalization_moves():
-        B = gamma_act(A, *move)
-        Bp = companion_cube(B)
-        alpha2 = _kelem_corner(ring, Bp, B, 4)
-        beta1 = _kelem_corner(ring, Bp, B, 5)
-        # nonzero norm, not mere nonzeroness: square discriminants put the
-        # corners in a split algebra where zero-norm elements are not units
-        if alpha2.norm() == 0 or beta1.norm() == 0:
-            continue
-        alpha1 = _kelem_corner(ring, Bp, B, 0)
-        beta2 = _kelem_corner(ring, Bp, B, 7)
-        gamma1 = 1 / beta1
-        gamma2 = 1 / alpha2
-        bases = [
-            [alpha1, alpha2],
-            [beta1, beta2],
-            [gamma1, gamma2],
-        ]
-        # undo the shear on each basis: direction i's ideal transforms by
-        # the inverse matrix acting on the ordered basis
-        for slot in range(3):
-            (p, q), (r, s) = _inv2(move[slot])
-            b1, b2 = bases[slot]
-            bases[slot] = [p * b1 + q * b2, r * b1 + s * b2]
-        try:
-            triple = BalancedTriple(ring, bases)
-            _validate_triple_against_cube(triple, A)
-            return triple
-        except InputError as exc:
-            last_err = exc
-            continue
-    raise InputError(
-        "no normalization made the corner elements invertible"
-        + (f" ({last_err})" if last_err else "")
+    Q1, Q2, Q3 = assoc_forms(A)
+    # N(alpha_2) = Q1(0,1) Q2(1,0) Q3(1,0) and N(beta_1) vanishes exactly
+    # when Q1(0,1) Q2(1,0) Q3(0,1) does; a shear in slot i moves only Q_i
+    moves = (_shear(Q1, (1,)), _shear(Q2, (0,)), _shear(Q3, (0, 1)))
+    B = A if moves == (_SHEARS[0],) * 3 else gamma_act(A, *moves)
+    Bp = companion_cube(B)
+    alpha1, alpha2, beta1, beta2 = (
+        KElem(ring, Bp.coeffs[f], B.coeffs[f]) for f in (0, 4, 5, 7)
     )
+    bases = ((alpha1, alpha2), (beta1, beta2), (1 / beta1, 1 / alpha2))
+    # direction i's ordered basis transforms by the inverse shear
+    triple = BalancedTriple(ring, [
+        (s * b1 - q * b2, p * b2 - r * b1)
+        for ((p, q), (r, s)), (b1, b2) in zip(moves, bases)
+    ])
+    _validate_triple_against_cube(triple, A)
+    return triple
 
 
 def _validate_triple_against_cube(triple: BalancedTriple, A: Cube) -> None:
@@ -420,11 +394,11 @@ def _validate_triple_against_cube(triple: BalancedTriple, A: Cube) -> None:
         flat = 4 * i + 2 * j + k
         want = KElem(ring, Ap.coeffs[flat], A.coeffs[flat])
         if al[i] * be[j] * ga[k] != want:
-            raise InputError(f"defining system fails at corner {(i, j, k)}")
+            raise exact.InternalError(f"defining system fails at corner {(i, j, k)}")
     # norm-form laws, one per direction
     for ideal, Q in zip(triple.ideals, assoc_forms(A)):
         if ideal_to_bqf(ideal) != Q:
-            raise InputError("norm form does not match the associated form")
+            raise exact.InternalError("norm form does not match the associated form")
     # cross view: N(I1) * beta_j gamma_k recovers the first-direction slices
     n1 = triple.ideals[0].norm()
     ca1, ca2 = a1.conj(), a2.conj()
@@ -432,7 +406,7 @@ def _validate_triple_against_cube(triple: BalancedTriple, A: Cube) -> None:
         lhs = n1 * (be[j] * ga[k])
         rhs = A.coeff(1, j, k) * ca1 - A.coeff(0, j, k) * ca2
         if lhs != rhs:
-            raise InputError(f"slice law fails at (j, k) = {(j, k)}")
+            raise exact.InternalError(f"slice law fails at (j, k) = {(j, k)}")
 
 
 def triple_to_cube(T: BalancedTriple) -> Cube:
@@ -518,7 +492,7 @@ def dual_cubes_solve(A: Cube, B: Cube, C: Cube) -> DualWitness:
             raise InputError("not composable: ideal product is not principal")
         kappas.append(kappa)
     unit = kappas[0] * kappas[1] * kappas[2]
-    assert unit.is_integral() and unit.norm() == 1
+    exact._ensure(unit.is_integral() and unit.norm() == 1, "kappas give no unit")
     kappas[0] = kappas[0] / unit
 
     scaled = [
@@ -535,7 +509,5 @@ def dual_cubes_solve(A: Cube, B: Cube, C: Cube) -> DualWitness:
     inputs = (A, B, C)
     for j, W in enumerate(witness.cubes()):
         for i, X in enumerate(inputs):
-            assert assoc_form(W, i + 1) == assoc_form(X, j + 1), (
-                "duality equations failed; construction is broken"
-            )
+            exact._ensure(assoc_form(W, i + 1) == assoc_form(X, j + 1), "duality fails")
     return witness

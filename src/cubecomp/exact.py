@@ -2,8 +2,9 @@
 
 All arithmetic is on plain Python ints.  _as_int is the one coercion rule
 of every constructor: ints and Fractions with denominator 1 pass, anything
-else is an InputError.  It and the shared helpers _bezout and _mat_mul are
-called as ``exact._name``, so the benchmark tracer, which spans every
+else is an InputError.  It, the correctness check _ensure (InternalError,
+which python -O cannot strip) and the shared helpers _bezout and _mat_mul
+are called as ``exact._name``, so the benchmark tracer, which spans every
 function one module imports from another by name, leaves them out.  On top
 sit dense multilinear forms, sparse integer polynomials, the point-evaluation
 engine every composition-law verifier but senary runs on, and Lagrange-Gauss
@@ -29,6 +30,16 @@ class UnsupportedDomainError(Exception):
     composition) when handed a nonnegative discriminant, and by reduction
     on square discriminants.
     """
+
+
+class InternalError(Exception):
+    """A correctness check on the library's own construction failed."""
+
+
+def _ensure(ok: bool, what: str) -> None:
+    """Raise InternalError(what) unless ok: a check python -O keeps."""
+    if not ok:
+        raise InternalError(what)
 
 
 def _as_int(x) -> int:

@@ -262,17 +262,30 @@ def _rational_sqrt(x: Fraction):
     return Fraction(a, b)
 
 
-def _divisors(n: int):
-    n = abs(n)
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i * i != n:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
+def _cubic_integer_roots(c1: int, c0: int):
+    """The integer roots of T^3 + c1*T + c0, by bisection on each piece of
+    the integers where the cubic is monotone."""
+    def f(T):
+        return T * (T * T + c1) + c0
+
+    bound = 1 + max(abs(c1), abs(c0))  # Cauchy's bound on every root
+    if c1 >= 0:
+        pieces = ((-bound, bound, 1),)
+    else:
+        # the turning points are +-sqrt(-c1/3); h <= sqrt(-c1/3) < h + 1
+        h = isqrt(-c1 // 3)
+        pieces = ((-bound, -h - 1, 1), (-h, h, -1), (h + 1, bound, 1))
+    roots = set()
+    for lo, hi, sign in pieces:
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sign * f(mid) < 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        if f(lo) == 0:
+            roots.add(lo)
+    return roots
 
 
 def kelem_cube_root(x: KElem):
@@ -295,18 +308,7 @@ def kelem_cube_root(x: KElem):
     M = lcm(n_y.denominator, tr_x.denominator)
     c1 = -3 * n_y * M * M  # integer by choice of M
     c0 = -tr_x * M * M * M
-    candidates = set()
-    if c0 == 0:
-        candidates.add(0)
-        s2 = _rational_sqrt(Fraction(-c1))
-        if s2 is not None and s2.denominator == 1:
-            candidates.update((s2.numerator, -s2.numerator))
-    else:
-        for d in _divisors(int(c0)):
-            candidates.update((d, -d))
-    for T in candidates:
-        if T**3 + c1 * T + c0 != 0:
-            continue
+    for T in _cubic_integer_roots(int(c1), int(c0)):
         t = Fraction(T, M)
         q2 = (t * t - 4 * n_y) / ring.D
         qroot = _rational_sqrt(q2)

@@ -87,20 +87,20 @@ def cubic_disc(f: BinaryCubic) -> int:
         - 6 * a0 * a1 * a2 * a3
         + a0 * a0 * a3 * a3
     )
-    assert d == cube_disc(cubic_embed(f))
+    exact._ensure(d == cube_disc(cubic_embed(f)), "cubic and cube discriminants differ")
     return d
 
 
 def cubic_q(f: BinaryCubic) -> BQF:
     """The single quadratic form shared by all three slicings of the cube."""
     q1, q2, q3 = assoc_forms(cubic_embed(f))
-    assert q1 == q2 == q3
+    exact._ensure(q1 == q2 == q3, "embedded cubic has three different forms")
     return q1
 
 
 def cubic_companion(f: BinaryCubic) -> BinaryCubic:
     c = companion_cube(cubic_embed(f)).coeffs
-    assert c[1] == c[2] == c[4] and c[3] == c[5] == c[6]
+    exact._ensure(c[1] == c[2] == c[4] and c[3] == c[5] == c[6], "asymmetric companion")
     return BinaryCubic(c[0], c[1], c[3], c[7])
 
 
@@ -140,7 +140,7 @@ def cubic_identity(D: int) -> BinaryCubic:
         f = BinaryCubic(0, 1, 1, (D + 3) // 4)
     else:
         raise InputError("discriminant must be 0 or 1 mod 4")
-    assert cubic_embed(f) == identity_cube(D)
+    exact._ensure(cubic_embed(f) == identity_cube(D), "identity cubic mismatch")
     return f
 
 
@@ -307,13 +307,13 @@ def pair_identity(D: int) -> PairBQF:
         F = PairBQF(BQF(0, 2, 1), BQF(1, 2, (D + 3) // 4))
     else:
         raise InputError("discriminant must be 0 or 1 mod 4")
-    assert pair_embed(F) == identity_cube(D)
+    exact._ensure(pair_embed(F) == identity_cube(D), "identity pair mismatch")
     return F
 
 
 def pair_companion(F: PairBQF) -> PairBQF:
     c = companion_cube(pair_embed(F)).coeffs
-    assert c[1] == c[2] and c[5] == c[6]
+    exact._ensure(c[1] == c[2] and c[5] == c[6], "pair companion is not symmetric")
     return PairBQF(BQF(c[0], 2 * c[1], c[3]), BQF(c[4], 2 * c[5], c[7]))
 
 

@@ -15,6 +15,7 @@ from cubecomp.bqf import (
     sl2_act,
     verify_gauss_identity,
 )
+from cubecomp import exact
 from cubecomp.cubes import lemmermeyer_identity
 from cubecomp.exact import InputError, UnsupportedDomainError
 from tests.worked_examples import CUBE_A
@@ -162,3 +163,18 @@ def test_gauss_identity_from_cube_data():
     (a, b), (c, d) = data.amat
     bad = GaussBilinearData(((a + 1, b), (c, d)), data.bmat)
     assert not verify_gauss_identity(*forms, bad)
+
+
+def test_indefinite_reduction_has_no_step_cap():
+    # ((1,1),(1,2))^12000 gives coefficients of about 33,000 bits, so rho
+    # needs far more than 10^4 steps to reach the reduced cycle
+    M, P, k = ((1, 0), (0, 1)), ((1, 1), (1, 2)), 12000
+    while k:
+        if k & 1:
+            M = exact._mat_mul(M, P)
+        P, k = exact._mat_mul(P, P), k >> 1
+    Q = sl2_act(BQF(1, 0, -3), M)
+    assert Q.a.bit_length() > 30000
+    res = reduce(Q)
+    assert res.canonical == BQF(-2, 2, 1) == reduce(BQF(1, 0, -3)).canonical
+    assert sl2_act(Q, res.transform) == res.canonical

@@ -284,6 +284,27 @@ def test_dual_worked_triple(tmp_path, capsys):
     assert "verified" in out
 
 
+def test_internal_check_failure_exits_4(tmp_path, capsys, monkeypatch):
+    # a broken L_1 makes the companion disagree across slots, which the
+    # library checks on every call, python -O or not
+    import cubecomp.cubes
+
+    real = cubecomp.cubes.companion_L
+
+    def broken(A):
+        ((a, b), row), L2, L3 = real(A)
+        return ((a + 1, b), row), L2, L3
+
+    monkeypatch.setattr(cubecomp.cubes, "companion_L", broken)
+    p = tmp_path / "in.json"
+    p.write_text(dumps_envelope("cube", -47, [CUBE_A, CUBE_B, CUBE_C]))
+    code, out, err = _run(capsys, ["dual", "--in", str(p)])
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "companion construction disagrees" in err
+
+
 def test_dual_rejects_positive_disc(tmp_path, capsys):
     p = tmp_path / "in.json"
     A = identity_cube(8)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cubecomp.bqf import (
     BQF,
@@ -206,6 +207,24 @@ def test_triple_round_trip_random_including_nonprojective():
         seen_nonprojective = seen_nonprojective or not is_projective(A)
         assert triple_to_cube(cube_to_triple(A)) == A
     assert seen_nonprojective
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.integers(-8, 8), min_size=8, max_size=8))
+def test_triple_round_trip_every_nondegenerate_cube(coeffs):
+    # square discriminants included: there a corner norm can vanish and a
+    # shear is needed in one, two or all three directions
+    A = Cube(coeffs)
+    assume(cube_disc(A) != 0)
+    assert triple_to_cube(cube_to_triple(A)) == A
+
+
+def test_triple_round_trip_needs_shears_in_every_direction():
+    # D = 4; Q1(0,1), Q2(1,0) and Q3(0,1) all vanish, so each of the three
+    # directions needs its own shear before alpha_2 and beta_1 are units
+    A = Cube((-4, 0, -3, -2, -1, 0, -4, 0))
+    assert cube_disc(A) == 4
+    assert triple_to_cube(cube_to_triple(A)) == A
 
 
 def test_identity_cube_triple_is_principal():

@@ -1,8 +1,11 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import cubecomp
 from cubecomp.altforms import QuatAltPair, SenaryAlt3
 from cubecomp.bqf import BQF, GaussBilinearData, sl2_act
 from cubecomp.cubes import Cube, gamma_act
@@ -132,3 +135,16 @@ def test_constructors_accept_integral_fractions():
     assert Cube([six] * 8) == Cube([6] * 8)
     assert QuadraticRing(Fraction(-23)) == QuadraticRing(-23)
     assert MultiForm((Fraction(2),), [six, 1]).dims == (2,)
+
+
+def test_library_code_has_no_assert_statements():
+    # python -O strips asserts; correctness checks go through exact._ensure
+    src = Path(cubecomp.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert len(list(src.glob("*.py"))) >= 9
+    assert found == []

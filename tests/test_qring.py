@@ -144,3 +144,12 @@ def test_fractional_scaling_keeps_norms_consistent():
     I = OrientedIdeal.from_ordered_basis(ring, (ring.element(2), ring.tau()))
     half = I.scale(KElem(ring, Fraction(1, 2)))
     assert half.norm() == I.norm() * Fraction(1, 4)
+
+
+def test_cube_root_with_a_huge_trace():
+    # the trace's cubic has a 91-digit constant term, far beyond any divisor
+    # search; at D = -23 the only roots of unity are +-1, so the root is unique
+    ring = QuadraticRing(-23)
+    y = KElem(ring, 10**30 + 7, 3)
+    assert kelem_cube_root(y**3) == y
+    assert kelem_cube_root(y**3 + 1) is None
