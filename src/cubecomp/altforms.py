@@ -5,8 +5,10 @@ pair of alternating 4x4 matrices by the block construction phi, with the
 Pfaffian of the matrix pencil recovering the first associated form on the
 nose; a cube maps to an alternating 3-form on Z^6 by distributing its three
 tensor slots over the three 2-blocks of Z^6.  Both composition identities
-are verified exactly, the first over the 4096 basis tuples of the product
-form, the second by full polynomial expansion in 36 variables.
+are verified exactly on exact.verify_at_points, the first over the 4096
+basis tuples of the product form, the second over the 20 x 20 pairs of
+increasing basis triples, both of its sides being alternating in each
+triple of Z^6 vectors.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .cubes import (
     slices,
 )
 from . import exact
-from .exact import InputError, MultiForm, Poly, VerifyResult, verify_at_points
+from .exact import InputError, MultiForm, VerifyResult, verify_at_points
 from .qring import QuadraticRing
 
 
@@ -309,41 +311,47 @@ def senary_identity_pair(D: int):
     return E, Ep
 
 
-def _senary_sides(D: int):
-    """The two 36-variable polynomials the senary identity compares."""
-    E, Ep = senary_identity_pair(D)
-    eps = D % 4
-    # the cube whose bilinear pair multiplies out (x1 + x2 tau)(u1 + u2 tau)
-    # in coordinates: (x1 u1 + m x2 u2, x1 u2 + x2 u1 + eps x2 u2)
-    mult = Cube((1, 0, 0, (D - eps) // 4, 0, 1, 1, eps))
-    V = Poly.variables(36)
-    xs, ys, zs = V[0:6], V[6:12], V[12:18]
-    us, vs, ws = V[18:24], V[24:30], V[30:36]
-    ex, epx = senary_eval(E, xs, ys, zs), senary_eval(Ep, xs, ys, zs)
-    eu, epu = senary_eval(E, us, vs, ws), senary_eval(Ep, us, vs, ws)
-    lhs = ex * epu + epx * eu + eps * ex * eu
-
-    def column(bvars):
-        # each row times bvars, blockwise through mult, summed over blocks
-        out = []
-        for avars in (xs, ys, zs):
-            blocks = [
-                _bilinear_pair(mult, avars[b : b + 2], bvars[b : b + 2])
-                for b in (0, 2, 4)
-            ]
-            out.extend(map(sum, zip(*blocks)))
-        return out
-
-    rhs = senary_eval(E, column(us), column(vs), column(ws))
-    return lhs, rhs
-
-
 def verify_senary_identity(D: int) -> VerifyResult:
-    """The senary identity pairing at D, compared as full 36-variable
-    polynomial expansions of both sides."""
-    lhs, rhs = _senary_sides(D)
-    if lhs == rhs:
-        return VerifyResult(True)
-    return VerifyResult(
-        False, [f"the senary identity pairing does not hold at D = {D}"]
+    """The senary identity pairing at D, at the 20 x 20 pairs of increasing
+    basis triples for (x, y, z) and (u, v, w).
+
+    It reads E(x,y,z) E'(u,v,w) + E'(x,y,z) E(u,v,w) + eps E(x,y,z) E(u,v,w)
+    = E(c(u), c(v), c(w)), where c(b) in S^3 holds x.b, y.b and z.b, each a
+    sum over the three 2-blocks of products in S.  Both sides are linear in
+    each vector (on the right since E lies on block-transversal triples,
+    which senary_identity_pair checks) and alternate in (u, v, w),
+    senary_eval being a sum of determinants.  The left side alternates in
+    (x, y, z); swapping two of them swaps those 2-blocks of every column, so
+    the right side does when E changes sign under the block swaps 0<->1 and
+    1<->2, checked here.  A six-linear form alternating in both triples is
+    0 if it is 0 at these 400 points, where E and E' are their coefficients.
+    """
+    E, Ep = senary_identity_pair(D)
+    e, ep = dict(zip(_TRIPLES, E.coeffs)), dict(zip(_TRIPLES, Ep.coeffs))
+    eps = D % 4
+    for swap in ((2, 3, 0, 1, 4, 5), (0, 1, 4, 5, 2, 3)):
+        exact._ensure(
+            all(E.coeff(*(swap[i] for i in t)) == -e[t] for t in _TRIPLES),
+            "senary form does not change sign under a block swap",
+        )
+    # products in S of its basis 1, tau: tau^2 = (D - eps) / 4 + eps tau
+    table = (((1, 0), (0, 1)), ((0, 1), ((D - eps) // 4, eps)))
+
+    def column(xyz, n):
+        # c(e_n) at (e_i, e_j, e_k): basis products survive in one 2-block
+        return [
+            c for i in xyz
+            for c in (table[i % 2][n % 2] if i // 2 == n // 2 else (0, 0))
+        ]
+
+    columns = {t: [column(t, n) for n in range(6)] for t in _TRIPLES}
+
+    def lhs(xyz, uvw):
+        return e[xyz] * ep[uvw] + ep[xyz] * e[uvw] + eps * e[xyz] * e[uvw]
+
+    def rhs(xyz, uvw):
+        return senary_eval(E, *(columns[xyz][n] for n in uvw))
+
+    return verify_at_points(
+        lhs, rhs, (_TRIPLES, _TRIPLES), "basis triples ((x,y,z),(u,v,w))"
     )

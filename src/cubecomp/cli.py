@@ -102,13 +102,6 @@ def _read_envelope(path: str) -> Envelope:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _only(env: Envelope, kind_type, what: str, count: int):
-    picked = [o for o in env.objects if isinstance(o, kind_type)]
-    if len(picked) != count or len(env.objects) != count:
-        raise InputError(f"expected exactly {count} {what}")
-    return picked
-
-
 def _split(env: Envelope, spec):
     """Partition env.objects by type per spec [(type, count, what), ...],
     preserving file order inside each group and rejecting leftovers."""
@@ -187,7 +180,7 @@ def cmd_compose(args) -> Report:
             encode_envelope("bqf", env.discriminant, [acc], ["product"])
         )
     elif env.space == "cube":
-        A, B = _only(env, Cube, "cubes", 2)
+        ((A, B),) = _split(env, ((Cube, 2, "cubes"),))
         _check_disc(env, (cube_disc(A), cube_disc(B)))
         C = cube_class_compose(A, B)
         rep.lines.append(f"composed class representative: {list(C.coeffs)}")
@@ -198,7 +191,7 @@ def cmd_compose(args) -> Report:
             encode_envelope("cube", env.discriminant, [C], ["product"])
         )
     elif env.space == "cubic":
-        f, g = _only(env, BinaryCubic, "cubics", 2)
+        ((f, g),) = _split(env, ((BinaryCubic, 2, "cubics"),))
         _check_disc(env, (cubic_disc(f), cubic_disc(g)))
         comp = cubic_class_compose(f, g)
         ideal = comp.ideal.hnf_basis()
@@ -244,7 +237,7 @@ def cmd_compose(args) -> Report:
 def _verify_envelope(law: str, env: Envelope):
     """Run one composition-law verification; (VerifyResult, artifacts)."""
     if law == "gauss":
-        (A,) = _only(env, Cube, "cube", 1)
+        ((A,),) = _split(env, ((Cube, 1, "cube"),))
         _check_disc(env, (cube_disc(A),))
         forms, data, res = lemmermeyer_identity(A)
         artifacts = [
@@ -257,7 +250,7 @@ def _verify_envelope(law: str, env: Envelope):
         ]
         return res, artifacts
     if law == "cube":
-        cubes = _only(env, Cube, "cubes", 6)
+        (cubes,) = _split(env, ((Cube, 6, "cubes"),))
         _check_disc(env, (cube_disc(cubes[0]),))
         return verify_cube_composition(*cubes), []
     if law == "cubic":
@@ -273,7 +266,7 @@ def _verify_envelope(law: str, env: Envelope):
         _check_disc(env, (pair_disc(FGH[0]),))
         return verify_pair_composition(*FGH, *RS), []
     if law == "quat":
-        cubes = _only(env, Cube, "cubes", 6)
+        (cubes,) = _split(env, ((Cube, 6, "cubes"),))
         _check_disc(env, (cube_disc(cubes[0]),))
         return verify_quaternary_composition(*cubes), []
     raise InputError(f"unknown law {law!r}")
@@ -299,7 +292,7 @@ def cmd_verify(args) -> Report:
 def cmd_dual(args) -> Report:
     rep = Report("dual")
     env = _read_envelope(args.infile)
-    A, B, C = _only(env, Cube, "cubes", 3)
+    ((A, B, C),) = _split(env, ((Cube, 3, "cubes"),))
     _check_disc(env, (cube_disc(A), cube_disc(B), cube_disc(C)))
     witness = dual_cubes_solve(A, B, C)
     res = verify_cube_composition(A, B, C, *witness.cubes())

@@ -379,13 +379,13 @@ def cube_to_triple(A: Cube) -> BalancedTriple:
         (s * b1 - q * b2, p * b2 - r * b1)
         for ((p, q), (r, s)), (b1, b2) in zip(moves, bases)
     ])
-    _validate_triple_against_cube(triple, A)
+    _validate_triple_against_cube(triple, A, Bp if B is A else None)
     return triple
 
 
-def _validate_triple_against_cube(triple: BalancedTriple, A: Cube) -> None:
+def _validate_triple_against_cube(triple: BalancedTriple, A: Cube, Ap=None):
     ring = triple.ring
-    Ap = companion_cube(A)
+    Ap = companion_cube(A) if Ap is None else Ap
     (a1, a2), (b1, b2), (g1, g2) = triple.bases
     al = (a1, a2)
     be = (b1, b2)

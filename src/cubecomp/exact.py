@@ -6,9 +6,9 @@ else is an InputError.  It, the correctness check _ensure (InternalError,
 which python -O cannot strip) and the shared helpers _bezout and _mat_mul
 are called as ``exact._name``, so the benchmark tracer, which spans every
 function one module imports from another by name, leaves them out.  On top
-sit dense multilinear forms, sparse integer polynomials, the point-evaluation
-engine every composition-law verifier but senary runs on, and Lagrange-Gauss
-reduction of rank-2 lattices.  No floating point anywhere.
+sit dense multilinear forms, sparse integer polynomials (the tests' oracle),
+the point-evaluation engine every composition-law verifier runs on, and
+Lagrange-Gauss reduction of rank-2 lattices.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -219,8 +219,7 @@ class Poly:
     """Sparse multivariate polynomial with integer coefficients.
 
     ``terms`` maps exponent tuples (one entry per variable) to nonzero
-    coefficients.  The senary identity, the one law not checked by
-    verify_at_points, is compared by full expansion in these.
+    coefficients; the tests' reference expansion for verify_at_points.
     """
 
     __slots__ = ("nvars", "terms")

@@ -148,3 +148,18 @@ def test_library_code_has_no_assert_statements():
     ]
     assert len(list(src.glob("*.py"))) >= 9
     assert found == []
+
+
+def test_only_exact_and_the_package_root_reference_poly():
+    # every verifier runs on verify_at_points; Poly is the tests' oracle
+    src = Path(cubecomp.__file__).parent
+    found = {
+        path.name
+        for path in src.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Name) and node.id == "Poly")
+        or (isinstance(node, ast.Attribute) and node.attr == "Poly")
+        or (isinstance(node, ast.alias) and node.name == "Poly")
+    }
+    assert "exact.py" in found
+    assert found <= {"exact.py", "__init__.py"}

@@ -5,11 +5,28 @@ the engine's verdict on the identity must match polynomial equality, on
 true instances and on perturbed ones.
 """
 
+import re
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from cubecomp import altforms
+from cubecomp.altforms import (
+    SenaryAlt3,
+    senary_eval,
+    verify_senary_identity,
+    wedge222,
+)
 from cubecomp.bqf import BQF, GaussBilinearData, verify_gauss_identity
-from cubecomp.cubes import Cube, cube_variants, lemmermeyer_identity
-from cubecomp.exact import BINARY_POINTS, Poly, verify_at_points
+from cubecomp.cli import main
+from cubecomp.cubes import (
+    Cube,
+    _bilinear_pair,
+    cube_variants,
+    identity_cube,
+    lemmermeyer_identity,
+)
+from cubecomp.exact import BINARY_POINTS, InternalError, Poly, verify_at_points
 from cubecomp.symspaces import (
     BinaryCubic,
     PairBQF,
@@ -267,6 +284,95 @@ def test_pair_engine_matches_expansion(inst):
     )
     res = verify_pair_composition(F, G, H, R, S)
     assert _identity_holds(res) == (lhs == rhs)
+
+
+# ----- senary ---------------------------------------------------------------
+
+
+def _senary_sides(D):
+    """The two 36-variable polynomials the senary identity compares, from
+    whatever altforms.senary_identity_pair returns."""
+    E, Ep = altforms.senary_identity_pair(D)
+    eps = D % 4
+    # the cube whose bilinear pair multiplies out (x1 + x2 tau)(u1 + u2 tau)
+    mult = Cube((1, 0, 0, (D - eps) // 4, 0, 1, 1, eps))
+    V = Poly.variables(36)
+    xs, ys, zs = V[0:6], V[6:12], V[12:18]
+    us, vs, ws = V[18:24], V[24:30], V[30:36]
+    ex, epx = senary_eval(E, xs, ys, zs), senary_eval(Ep, xs, ys, zs)
+    eu, epu = senary_eval(E, us, vs, ws), senary_eval(Ep, us, vs, ws)
+    lhs = ex * epu + epx * eu + eps * ex * eu
+
+    def column(bvars):
+        # each row times bvars, blockwise through mult, summed over blocks
+        out = []
+        for avars in (xs, ys, zs):
+            blocks = [
+                _bilinear_pair(mult, avars[b : b + 2], bvars[b : b + 2])
+                for b in (0, 2, 4)
+            ]
+            out.extend(map(sum, zip(*blocks)))
+        return out
+
+    rhs = senary_eval(E, column(us), column(vs), column(ws))
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("D", (-47, -31, -4, 5, 8, 13))
+def test_senary_engine_matches_expansion(D):
+    lhs, rhs = _senary_sides(D)
+    assert verify_senary_identity(D).ok == (lhs == rhs)
+
+
+SENARY_FAILURE = re.compile(
+    r"identity fails at basis triples \(\(x,y,z\),\(u,v,w\)\)="
+    r"\(\((\d), (\d), (\d)\), \((\d), (\d), (\d)\)\): -?\d+ != -?\d+"
+)
+
+
+# E' moved on a block-transversal triple and on one inside two blocks
+@pytest.mark.parametrize("D, triple", [(-47, (0, 2, 4)), (8, (0, 1, 2))])
+def test_perturbed_senary_companion_is_rejected(monkeypatch, D, triple):
+    pair = altforms.senary_identity_pair
+    pos = altforms._TRIPLES.index(triple)
+
+    def perturbed(disc):
+        E, Ep = pair(disc)
+        return E, SenaryAlt3(_bump(Ep.coeffs, pos, 1))
+
+    monkeypatch.setattr(altforms, "senary_identity_pair", perturbed)
+    lhs, rhs = _senary_sides(D)
+    res = verify_senary_identity(D)
+    assert lhs != rhs and not res.ok
+    (reason,) = res.reasons
+    match = SENARY_FAILURE.fullmatch(reason)
+    assert match
+    # the named pair of basis triples is a point where the expansions differ
+    point = [0] * 36
+    for slot, n in enumerate(map(int, match.groups())):
+        point[6 * slot + n] = 1
+    assert lhs.eval(point) != rhs.eval(point)
+
+
+# a112 += 1 breaks E's sign change under the block swap 1<->2 only, a211 += 1
+# under the swap 0<->1 only; E stays on block-transversal triples
+@pytest.mark.parametrize("pos", (1, 4))
+def test_senary_form_without_block_sign_change_is_internal_error(
+    monkeypatch, capsys, pos
+):
+    pair = altforms.senary_identity_pair
+
+    def skewed(disc):
+        E, Ep = pair(disc)
+        return wedge222(Cube(_bump(identity_cube(disc).coeffs, pos, 1))), Ep
+
+    monkeypatch.setattr(altforms, "senary_identity_pair", skewed)
+    with pytest.raises(InternalError, match="block swap"):
+        verify_senary_identity(-47)
+    code = main(["verify", "--law", "senary", "--discriminant", "-47"])
+    out, err = capsys.readouterr()
+    assert code == 4 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 # ----- the binary point sets ------------------------------------------------
