@@ -5,6 +5,9 @@ verification of Gauss composition identities.
 A form [a, b, c] means a*x^2 + b*x*y + c*y^2.  For D < 0 the classes come in
 (positive definite, negative definite) mirror pairs, which is what makes the
 narrow class group twice the size of the usual one at negative discriminant.
+Class tables come from a Cayley graph on a few reduced forms: h compositions
+per generator, then lookups, with the negative definite classes by a sign
+rule.
 """
 
 from __future__ import annotations
@@ -338,12 +341,15 @@ class ClassGroupTable:
     signs appear); table[i][j] is the index of the composed class.
     """
 
-    __slots__ = ("D", "representatives", "table")
+    __slots__ = ("D", "representatives", "table", "_identity", "_index")
 
-    def __init__(self, D: int, representatives, table):
+    def __init__(self, D: int, representatives, table, identity: int):
         object.__setattr__(self, "D", D)
         object.__setattr__(self, "representatives", tuple(representatives))
         object.__setattr__(self, "table", tuple(tuple(row) for row in table))
+        object.__setattr__(self, "_identity", identity)
+        index = {Q: i for i, Q in enumerate(self.representatives)}
+        object.__setattr__(self, "_index", index)
 
     def __setattr__(self, name, value):
         raise AttributeError("ClassGroupTable is immutable")
@@ -352,99 +358,104 @@ class ClassGroupTable:
         return len(self.representatives)
 
     def index_of(self, Q: BQF) -> int:
-        canon = reduce(Q).canonical
-        for i, rep in enumerate(self.representatives):
-            if rep == canon:
-                return i
-        raise InputError(f"{Q!r} is not in any tabulated class")
+        i = self._index.get(reduce(Q).canonical)
+        if i is None:
+            raise InputError(f"{Q!r} is not in any tabulated class")
+        return i
 
     def identity_index(self) -> int:
-        return self.index_of(principal_form(self.D))
-
-    def inverse_of(self, i: int) -> int:
-        e = self.identity_index()
-        for j in range(len(self.representatives)):
-            if self.table[i][j] == e:
-                return j
-        raise InputError("no inverse found; table is not a group")
+        return self._identity
 
     def __repr__(self):
         return f"ClassGroupTable(D={self.D}, {len(self.representatives)} classes)"
 
 
 def _reduced_posdef_forms(D: int):
+    """Primitive reduced forms |b| <= a <= c (b >= 0 when |b| = a or a = c),
+    by b >= 0 and the divisors a of n = (b^2 - D)/4 with a^2 <= n."""
     out = []
-    amax = isqrt(-D // 3) if D < -3 else 1
-    for a in range(1, amax + 1):
-        for b in range(-a, a + 1):
-            if (b - D) % 2 != 0:
-                continue
-            num = b * b - D
-            if num % (4 * a) != 0:
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if b < 0 and (-b == a or a == c):
-                continue
-            Q = BQF(a, b, c)
-            if Q.is_primitive():
-                out.append(Q)
+    for b in range(D % 2, isqrt(-D // 3) + 1, 2):
+        n = (b * b - D) // 4
+        for a in range(max(b, 1), isqrt(n) + 1):
+            if n % a == 0 and gcd(gcd(a, b), n // a) == 1:
+                c = n // a
+                out.append(BQF(a, b, c))
+                if 0 < b < a < c:
+                    out.append(BQF(a, -b, c))
     return sorted(out, key=BQF.coeffs)
 
 
 def _reduced_indefinite_forms(D: int):
+    """Primitive reduced forms (0 < b < sqrt(D), sqrt(D) - b < 2|a| <
+    sqrt(D) + b), by b and the divisors |a| of n = (D - b^2)/4."""
     s = isqrt(D)
     out = []
-    for b in range(1, s + 1):
-        if (b - D) % 2 != 0:
-            continue
-        for two_a in range(s - b + 1, s + b + 1):
-            if two_a % 2 != 0:
-                continue
-            aa = two_a // 2
-            for a in (aa, -aa):
-                num = b * b - D
-                if num % (4 * a) != 0:
-                    continue
-                c = num // (4 * a)
-                Q = BQF(a, b, c)
-                if Q.is_primitive():
-                    out.append(Q)
-    return sorted(set(out), key=BQF.coeffs)
+    for b in range(2 - D % 2, s + 1, 2):
+        n = (D - b * b) // 4
+        for a in range((s - b + 2) // 2, (s + b) // 2 + 1):
+            if n % a == 0 and gcd(gcd(a, b), n // a) == 1:
+                out += (BQF(a, b, -n // a), BQF(-a, b, n // a))
+    return out
 
 
 def enumerate_class_group(D: int) -> ClassGroupTable:
     """All SL2-classes of primitive forms of discriminant D, with the
-    composition table."""
+    composition table.
+
+    The h classes (at D < 0 the positive definite ones) form a finite
+    abelian group.  A representative joins the generators, in order, when a
+    breadth-first search from the principal class over the Cayley graph of
+    the generators so far does not reach it; each costs h compositions and
+    at least doubles the reached subgroup, so there are at most log2(h).
+    Row i of the table follows every class's search-tree word from class i.
+    At D < 0, -Q composes as the conjugate (inverse) of Q.
+    """
     if D % 4 not in (0, 1):
         raise InputError("a discriminant must be 0 or 1 mod 4")
     if D == 0 or _is_square(D):
         raise UnsupportedDomainError("square discriminant")
     if D < 0:
-        pos = _reduced_posdef_forms(D)
-        reps = pos + [-Q for Q in pos]
+        reps = _reduced_posdef_forms(D)
     else:
-        reduced = _reduced_indefinite_forms(D)
-        reps = []
-        seen = set()
-        for Q in reduced:
-            if Q in seen:
-                continue
-            res = reduce(Q)
-            seen.update(res.cycle)
-            reps.append(res.canonical)
-        reps = sorted(reps, key=BQF.coeffs)
-    index = {}
-    for i, rep in enumerate(reps):
-        index[reduce(rep).canonical] = i
+        reps, seen = [], set()
+        for Q in _reduced_indefinite_forms(D):
+            if Q not in seen:
+                res = reduce(Q)
+                seen.update(res.cycle)
+                reps.append(res.canonical)
+        reps.sort(key=BQF.coeffs)
+    h = len(reps)
+    index = {Q: i for i, Q in enumerate(reps)}
+    e = index[reduce(principal_form(D)).canonical]
+    cay = []  # cay[k][x]: the class of reps[x] times generator k
+    word = {e: None}  # class -> (class one step nearer e, generator used)
+    for g in reps:
+        if index[g] not in word:
+            cay.append([index[compose_dirichlet(Q, g)] for Q in reps])
+            word, order = {e: None}, [e]
+            for x in order:
+                for k, col in enumerate(cay):
+                    if col[x] not in word:
+                        word[col[x]] = (x, k)
+                        order.append(col[x])
+    exact._ensure(len(word) == h, "the Cayley graph misses a class")
+    steps = [(j, *word[j]) for j in word if j != e]
     table = []
-    for Qi in reps:
-        row = []
-        for Qj in reps:
-            row.append(index[compose_dirichlet(Qi, Qj)])
+    for i in range(h):
+        row = [i] * h
+        for j, x, k in steps:
+            row[j] = cay[k][row[x]]
         table.append(row)
-    return ClassGroupTable(D, reps, table)
+    for col in cay:  # a permutation, and generator col[e]'s row read by words
+        ok = len(set(col)) == h and table[col[e]] == col
+        exact._ensure(ok, "class table disagrees with its Cayley graph")
+    if D < 0:
+        inv = [row.index(e) for row in table]
+        table = [r + [h + t for t in table[inv[i]]] for i, r in enumerate(table)] + [
+            [h + table[i][j] for j in inv] + [table[inv[i]][j] for j in inv]
+            for i in range(h)]
+        reps += [-Q for Q in reps]
+    return ClassGroupTable(D, reps, table, e)
 
 
 def bqf_to_ideal(Q: BQF, ring: QuadraticRing | None = None) -> OrientedIdeal:

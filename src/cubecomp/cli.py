@@ -5,7 +5,8 @@ a report (human text by default, a JSON document with --json) carrying the
 verdict, the reasons for any failure, the computed artifacts, and the wall
 time.  Exit codes: 0 for verified or composed, 1 when a verification comes
 back false, 2 for malformed input, 3 for a domain the exact routines do not
-cover, 4 when one of the library's own correctness checks fails.
+cover, 4 when one of the library's own correctness checks fails or the
+library crashes.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .symspaces import (
 from .wire import (
     Envelope,
     _emit_int,
+    _parse_int,
     encode_envelope,
     parse_envelope,
 )
@@ -93,13 +95,15 @@ class Report:
 
 
 def _read_envelope(path: str) -> Envelope:
-    if path == "-":
-        return parse_envelope(sys.stdin.read())
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_envelope(fh.read())
-    except OSError as exc:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    return parse_envelope(text)
 
 
 def _split(env: Envelope, spec):
@@ -136,7 +140,7 @@ def _form_str(Q: BQF) -> str:
 
 def cmd_classgroup(args) -> Report:
     rep = Report("classgroup")
-    table = enumerate_class_group(args.discriminant)
+    table = enumerate_class_group(_parse_int(args.discriminant))
     D = table.D
     reps = table.representatives
     posdef = [Q for Q in reps if D < 0 and Q.a > 0]
@@ -277,7 +281,7 @@ def cmd_verify(args) -> Report:
     if args.law == "senary":
         if args.discriminant is None:
             raise InputError("the senary law takes --discriminant")
-        res = verify_senary_identity(args.discriminant)
+        res = verify_senary_identity(_parse_int(args.discriminant))
     else:
         if args.infile is None:
             raise InputError("this law takes --in with an envelope file")
@@ -348,7 +352,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cg = sub.add_parser(
         "classgroup", help="list the narrow class group at a discriminant"
     )
-    cg.add_argument("--discriminant", type=int, required=True)
+    # discriminants parse by the envelopes' rule, in the command body, so
+    # that a bad one is one error line and exit 2
+    cg.add_argument("--discriminant", required=True)
     cg.add_argument("--json", action="store_true")
     cg.set_defaults(func=cmd_classgroup)
 
@@ -366,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("gauss", "cube", "cubic", "pair", "quat", "senary"),
     )
     ve.add_argument("--in", dest="infile", metavar="FILE")
-    ve.add_argument("--discriminant", type=int)
+    ve.add_argument("--discriminant")
     ve.add_argument("--json", action="store_true")
     ve.set_defaults(func=cmd_verify)
 
@@ -412,6 +418,12 @@ def _main(argv) -> int:
         return 3
     except InternalError as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 4
+    except Exception as exc:
+        # a crash is a bug in cubecomp: one line and exit 4, never the
+        # traceback and exit 1 of a false verdict
+        msg = " ".join(str(exc).split())
+        print(f"error: internal error: {type(exc).__name__}: {msg}", file=sys.stderr)
         return 4
     rep.elapsed = time.perf_counter() - t0
     if args.json:

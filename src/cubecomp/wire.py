@@ -144,9 +144,11 @@ def encode_envelope(space: str, discriminant: int, objects, roles=None) -> dict:
 
 def parse_envelope(data) -> Envelope:
     if isinstance(data, (str, bytes)):
+        # bytes in no Unicode encoding raise ValueError, deep nesting
+        # RecursionError
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise InputError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("envelope must be a JSON object")

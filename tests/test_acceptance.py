@@ -170,7 +170,7 @@ def test_criterion_08_class_group_oracle():
         e = tbl.identity_index()
         for i in range(n):
             assert tbl.table[i][e] == tbl.table[e][i] == i
-            inv = tbl.inverse_of(i)
+            inv = tbl.table[i].index(e)
             assert tbl.table[i][inv] == e
             for j in range(n):
                 assert tbl.table[i][j] == tbl.table[j][i]

@@ -126,7 +126,7 @@ def test_class_table_group_structure():
         e = tbl.identity_index()
         for i in range(n):
             assert tbl.table[i][e] == i
-            j = tbl.inverse_of(i)
+            j = tbl.table[i].index(e)
             assert tbl.table[i][j] == e
 
 

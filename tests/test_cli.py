@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import pathlib
+import subprocess
 import sys
 from importlib import resources
 
@@ -392,3 +395,82 @@ def test_compose_beyond_the_int_str_digit_limit(tmp_path, capsys, as_json):
     else:
         assert f"composed class: [1, 1, {c}]" in out
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+# ----- hostile input and crashes -----------------------------------------
+
+HOSTILE = {"utf16_bom": b"\xff\xfe{}", "deep_nesting": b"[" * 100_000}
+
+
+@pytest.mark.parametrize("kind", sorted(HOSTILE))
+@pytest.mark.parametrize("from_stdin", [False, True])
+def test_undecodable_or_deeply_nested_envelope_exits_2(
+    tmp_path, capsys, monkeypatch, kind, from_stdin
+):
+    data = HOSTILE[kind]
+    if from_stdin:
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        path = "-"
+    else:
+        p = tmp_path / "in.json"
+        p.write_bytes(data)
+        path = str(p)
+    code, out, err = _run(capsys, ["compose", "--in", path])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classgroup", "--discriminant", "-٤٧"],
+        ["classgroup", "--discriminant", "٤٧"],
+        ["verify", "--law", "senary", "--discriminant", "-٤٧"],
+    ],
+)
+def test_discriminant_arguments_take_ascii_digits_only(capsys, argv):
+    # Arabic-Indic -47: int() accepts it, the envelopes' rule does not
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: not an integer") and err.count("\n") == 1
+
+
+def test_crash_exits_4_with_one_line(capsys, monkeypatch):
+    import cubecomp.cli
+
+    def crash(args):
+        raise ValueError("boom\non two lines")
+
+    monkeypatch.setattr(cubecomp.cli, "cmd_classgroup", crash)
+    code, out, err = _run(capsys, ["classgroup", "--discriminant", "-47"])
+    assert code == 4
+    assert out == ""
+    assert err == "error: internal error: ValueError: boom on two lines\n"
+
+
+def test_crash_exits_4_under_python_O():
+    import cubecomp
+
+    script = (
+        "import sys\n"
+        "import cubecomp.cli as cli\n"
+        "def crash(args):\n"
+        "    raise ValueError('boom')\n"
+        "cli.cmd_classgroup = crash\n"
+        "sys.exit(cli.main(['classgroup', '--discriminant', '-47']))\n"
+    )
+    src = str(pathlib.Path(cubecomp.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert res.returncode == 4
+    assert res.stdout == ""
+    assert res.stderr == "error: internal error: ValueError: boom\n"
