@@ -6,8 +6,8 @@ A form [a, b, c] means a*x^2 + b*x*y + c*y^2.  For D < 0 the classes come in
 (positive definite, negative definite) mirror pairs, which is what makes the
 narrow class group twice the size of the usual one at negative discriminant.
 Class tables come from a Cayley graph on a few reduced forms: h compositions
-per generator, then lookups, with the negative definite classes by a sign
-rule.
+per generator, then lookups.  The negative definite classes need none:
+[-Q][R] = -[Q^-1][R] is a property of composition itself.
 """
 
 from __future__ import annotations
@@ -214,31 +214,15 @@ def reduce(Q: BQF) -> ReduceResult:
     return ReduceResult(canonical, g, cycle)
 
 
-def _coprime_representative(Q: BQF, n: int) -> BQF:
-    """An SL2-equivalent of Q whose leading coefficient is coprime to n."""
-    n = abs(n)
-    bound = 1
-    while bound <= 64:
-        for x in range(-bound, bound + 1):
-            for y in range(-bound, bound + 1):
-                if gcd(x, y) != 1:
-                    continue
-                v = Q(x, y)
-                if v != 0 and gcd(v, n) == 1:
-                    # extend (x, y) to an SL2 matrix as the first column
-                    u, w = exact._bezout(x, y)
-                    gmat = ((x, -w), (y, u))
-                    exact._ensure(x * u + y * w == 1, "Bezout extension is not in SL2")
-                    return sl2_act(Q, gmat)
-        bound *= 2
-    raise InputError("no representative coprime to the modulus found")
-
-
 def compose_dirichlet(Q1: BQF, Q2: BQF) -> BQF:
     """A reduced form representing the composed class [Q1][Q2].
 
-    United-forms recipe: replace Q2 by an equivalent with leading coefficient
-    coprime to Q1's, line up the middle coefficients by CRT, multiply.
+    Dirichlet composition in gcd form (Cohen, GTM 138, Alg. 5.4.7; Buell,
+    Binary Quadratic Forms, ch. 4): for s = (b1 + b2)/2 and d = gcd(a1, a2, s)
+    = u*a1 + v*a2 + w*s, it is [a3, B, (B^2 - D)/(4*a3)] with a3 = a1*a2/d^2,
+    B = (u*a1*b2 + v*a2*b1 + w*(b1*b2 + D)/2)/d.  The sign of a is the mu of
+    its oriented ideal: a3 takes the product of the signs and B sees a1, a2
+    only through congruences, so one formula serves every sign of D, a1, a2.
     """
     D = Q1.disc()
     if Q2.disc() != D:
@@ -247,34 +231,15 @@ def compose_dirichlet(Q1: BQF, Q2: BQF) -> BQF:
         raise InputError("composition needs primitive forms")
     if D == 0 or _is_square(D):
         raise UnsupportedDomainError("square discriminant")
-    if D < 0:
-        s1 = 1 if Q1.a > 0 else -1
-        s2 = 1 if Q2.a > 0 else -1
-        if s1 < 0 or s2 < 0:
-            # -Q corresponds to the conjugate module with orientation -1,
-            # so each negative sign inverts (conjugates) the other factor
-            P1 = Q1 if s1 > 0 else -Q1
-            P2 = Q2 if s2 > 0 else -Q2
-            if s2 < 0:
-                P1 = BQF(P1.a, -P1.b, P1.c)
-            if s1 < 0:
-                P2 = BQF(P2.a, -P2.b, P2.c)
-            pos = compose_dirichlet(P1, P2)
-            return reduce(pos if s1 * s2 > 0 else -pos).canonical
-    q2 = _coprime_representative(Q2, Q1.a)
-    a1, b1 = Q1.a, Q1.b
-    a2, b2 = q2.a, q2.b
-    # B = b1 (mod 2a1), B = b2 (mod 2a2); both ideals share parity of D
-    m1, m2 = 2 * abs(a1), 2 * abs(a2)
-    g = gcd(m1, m2)
-    exact._ensure((b1 - b2) % g == 0, "middle coefficients admit no CRT lift")
-    u, _ = exact._bezout(m1 // g, m2 // g)
-    lcm = m1 // g * m2
-    B = (b1 + m1 * (((b2 - b1) // g) * u % (m2 // g))) % lcm
-    a3 = a1 * a2
-    exact._ensure((B * B - D) % (4 * a3) == 0, "united form is not integral")
-    c3 = (B * B - D) // (4 * a3)
-    return reduce(BQF(a3, B, c3)).canonical
+    (a1, b1, _), (a2, b2, _) = Q1.coeffs(), Q2.coeffs()
+    s = (b1 + b2) // 2  # b1, b2 and D share parity
+    x, y = exact._bezout(a1, a2)
+    p, w = exact._bezout(x * a1 + y * a2, s)
+    u, v, d = p * x, p * y, gcd(a1, a2, s)
+    a3 = a1 * a2 // (d * d)
+    B = (u * a1 * b2 + v * a2 * b1 + w * ((b1 * b2 + D) // 2)) // d % (2 * a3)
+    exact._ensure((B * B - D) % (4 * a3) == 0, "composed form is not integral")
+    return reduce(BQF(a3, B, (B * B - D) // (4 * a3))).canonical
 
 
 class GaussBilinearData:

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from importlib import resources
 
 from .altforms import verify_quaternary_composition, verify_senary_identity
-from .bqf import BQF, compose_dirichlet, enumerate_class_group, reduce
+from .bqf import BQF, compose_dirichlet, enumerate_class_group
 from .cubes import (
     Cube,
     assoc_forms,
@@ -178,7 +179,6 @@ def cmd_compose(args) -> Report:
         acc = forms[0]
         for Q in forms[1:]:
             acc = compose_dirichlet(acc, Q)
-        acc = reduce(acc).canonical
         rep.lines.append(f"composed class: {_form_str(acc)}")
         rep.artifacts.append(
             encode_envelope("bqf", env.discriminant, [acc], ["product"])
@@ -426,10 +426,18 @@ def _main(argv) -> int:
         print(f"error: internal error: {type(exc).__name__}: {msg}", file=sys.stderr)
         return 4
     rep.elapsed = time.perf_counter() - t0
-    if args.json:
-        print(json.dumps(rep.to_json(), indent=2))
-    else:
-        rep.print_human(sys.stdout)
+    try:
+        if args.json:
+            print(json.dumps(rep.to_json(), indent=2))
+        else:
+            rep.print_human(sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (`| head`), which changes no verdict; the
+        # rest of the report goes to devnull so the exit flush stays quiet
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
     return rep.exit_code()
 
 

@@ -107,10 +107,6 @@ class MultiForm:
         dims = tuple(dims)
         return cls(dims, [0] * prod(dims, start=1))
 
-    @classmethod
-    def constant(cls, c: int) -> "MultiForm":
-        return cls((), [c])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MultiForm)

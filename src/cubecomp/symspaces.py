@@ -229,8 +229,7 @@ class CubicComposition:
         qtot = compose_dirichlet(
             compose_dirichlet(cubic_q(self.f), cubic_q(self.g)), cubic_q(h)
         )
-        principal = bqf_reduce(principal_form(D)).canonical
-        if bqf_reduce(qtot).canonical != principal:
+        if qtot != bqf_reduce(principal_form(D)).canonical:
             return False
         # delta is only pinned down up to cubes and unit factors
         total = self.delta * delta_h

@@ -2,7 +2,8 @@
 
 The oracle is the h^2 construction the Cayley-graph builder replaced:
 reduced forms by a scan over (a, b), indefinite cycles walked by reduce,
-and one compose_dirichlet per table entry.
+and one composition per table entry by the united-forms recipe
+(tests/compose_reference.py), not by the compose_dirichlet under test.
 """
 
 import random
@@ -21,6 +22,7 @@ from cubecomp.bqf import (
 )
 from cubecomp.cli import main
 from cubecomp.exact import InternalError
+from tests.compose_reference import united_forms_compose
 
 
 def _oracle_posdef_forms(D):
@@ -65,7 +67,7 @@ def _oracle_indefinite_forms(D):
 
 
 def oracle_class_group(D):
-    """(representatives, table) with one compose_dirichlet per entry."""
+    """(representatives, table) with one united-forms composition per entry."""
     if D < 0:
         pos = _oracle_posdef_forms(D)
         reps = pos + [-Q for Q in pos]
@@ -79,7 +81,7 @@ def oracle_class_group(D):
             reps.append(res.canonical)
         reps = sorted(reps, key=BQF.coeffs)
     index = {reduce(rep).canonical: i for i, rep in enumerate(reps)}
-    table = [[index[compose_dirichlet(Qi, Qj)] for Qj in reps] for Qi in reps]
+    table = [[index[united_forms_compose(Qi, Qj)] for Qj in reps] for Qi in reps]
     return tuple(reps), tuple(tuple(row) for row in table)
 
 

@@ -452,8 +452,6 @@ def test_crash_exits_4_with_one_line(capsys, monkeypatch):
 
 
 def test_crash_exits_4_under_python_O():
-    import cubecomp
-
     script = (
         "import sys\n"
         "import cubecomp.cli as cli\n"
@@ -462,15 +460,37 @@ def test_crash_exits_4_under_python_O():
         "cli.cmd_classgroup = crash\n"
         "sys.exit(cli.main(['classgroup', '--discriminant', '-47']))\n"
     )
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=_subprocess_env(), timeout=120,
+    )
+    assert res.returncode == 4
+    assert res.stdout == ""
+    assert res.stderr == "error: internal error: ValueError: boom\n"
+
+
+def _subprocess_env():
+    """The environment with this checkout's cubecomp first on PYTHONPATH."""
+    import cubecomp
+
     src = str(pathlib.Path(cubecomp.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
-    res = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True, text=True, env=env, timeout=120,
+    return env
+
+
+def test_reader_closing_early_is_not_an_error():
+    # about 760 kB of JSON, far more than a pipe buffers, so the writes
+    # after the reader has gone fail with a broken pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cubecomp.cli", "classgroup",
+         "--discriminant", "-1000003", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_subprocess_env(),
     )
-    assert res.returncode == 4
-    assert res.stdout == ""
-    assert res.stderr == "error: internal error: ValueError: boom\n"
+    assert proc.stdout.read(100).startswith(b"{")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
