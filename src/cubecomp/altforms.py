@@ -5,7 +5,7 @@ pair of alternating 4x4 matrices by the block construction phi, with the
 Pfaffian of the matrix pencil recovering the first associated form on the
 nose; a cube maps to an alternating 3-form on Z^6 by distributing its three
 tensor slots over the three 2-blocks of Z^6.  Both composition identities
-are verified exactly on exact.verify_at_points, the first over the 4096
+are verified exactly on exact.verify_at_points, the first over the 1024
 basis tuples of the product form, the second over the 20 x 20 pairs of
 increasing basis triples, both of its sides being alternating in each
 triple of Z^6 vectors.
@@ -165,7 +165,7 @@ def verify_quaternary_composition(
     A must be doubly symmetric so that its image pair represents the same
     class; the pairs F, G, H are phi(A), phi(B), phi(C).  Conditions: the
     twelve-slot identity between (G*H) and F evaluated on the sigma-pair
-    vectors (complete on the 2*4*4*2*4*4 = 4096 basis tuples of the
+    vectors (complete on the 2*4*4*2*4*4 = 1024 basis tuples of the
     product form, both sides being multilinear in the six vector slots),
     Q1(R) = Q1(A) with Q2(R) = Q1(B), the three corner product equations,
     and equal discriminants.

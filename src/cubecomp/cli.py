@@ -198,14 +198,13 @@ def cmd_compose(args) -> Report:
         ((f, g),) = _split(env, ((BinaryCubic, 2, "cubics"),))
         _check_disc(env, (cubic_disc(f), cubic_disc(g)))
         comp = cubic_class_compose(f, g)
-        ideal = comp.ideal.hnf_basis()
         qprod = compose_dirichlet(cubic_q(f), cubic_q(g))
         rep.lines.append(
             "composed class certificate (ideal basis and generator product):"
         )
         for name, el in (
-            ("basis[0]", ideal.basis[0]),
-            ("basis[1]", ideal.basis[1]),
+            ("basis[0]", comp.ideal.basis[0]),
+            ("basis[1]", comp.ideal.basis[1]),
             ("delta", comp.delta),
         ):
             rep.lines.append(f"  {name}: ({el.p} + {el.q} t) / {el.d}")
@@ -218,7 +217,7 @@ def cmd_compose(args) -> Report:
                         "q": _emit_int(el.q),
                         "d": _emit_int(el.d),
                     }
-                    for el in ideal.basis
+                    for el in comp.ideal.basis
                 ],
                 "delta": {
                     "p": _emit_int(comp.delta.p),

@@ -11,10 +11,7 @@ ideals, and the dual-cube solver built on that dictionary.
 
 from __future__ import annotations
 
-from itertools import product as iter_product
-
-from .bqf import BQF, GaussBilinearData, compose_dirichlet, principal_form
-from .bqf import ideal_to_bqf, reduce as bqf_reduce, verify_gauss_identity
+from .bqf import BQF, GaussBilinearData, ideal_to_bqf, verify_gauss_identity
 from . import exact
 from .exact import BINARY_POINTS, InputError, MultiForm, UnsupportedDomainError
 from .exact import VerifyResult, verify_at_points
@@ -275,13 +272,16 @@ class BalancedTriple:
     """Three oriented ideals with chosen ordered bases, multiplying into S.
 
     Checked at construction: the ideal orientations are read off the basis
-    order, the signed norms multiply to exactly 1, and the product of the
-    three modules lands inside S.  For invertible ideals the two conditions
-    force the product to be S itself; non-invertible modules (imprimitive
-    norm forms) are allowed and then the containment can be strict.
+    order, the signed norms multiply to exactly 1, and the eight basis
+    products alpha_i beta_j gamma_k, kept in ``products`` in the flat cube
+    order 4i + 2j + k, are all integral.  They span the product module, so
+    this is the condition that the product lands inside S.  For invertible
+    ideals the two conditions force the product to be S itself;
+    non-invertible modules (imprimitive norm forms) are allowed and then the
+    containment can be strict.  The cube conditions are triple_to_cube's.
     """
 
-    __slots__ = ("ring", "bases", "ideals")
+    __slots__ = ("ring", "bases", "ideals", "products")
 
     def __init__(self, ring: QuadraticRing, bases):
         bases = tuple(tuple(pair) for pair in bases)
@@ -293,12 +293,15 @@ class BalancedTriple:
         n = ideals[0].norm() * ideals[1].norm() * ideals[2].norm()
         if n != 1:
             raise InputError(f"norms multiply to {n}, not 1")
-        prod = ideals[0] * ideals[1] * ideals[2]
-        if not all(b.is_integral() for b in prod.basis):
+        al, be, ga = bases
+        bg = [b * g for b in be for g in ga]
+        products = tuple(a * x for a in al for x in bg)
+        if not all(x.is_integral() for x in products):
             raise InputError("ideal product does not land in the ring")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "bases", bases)
         object.__setattr__(self, "ideals", ideals)
+        object.__setattr__(self, "products", products)
 
     def __setattr__(self, name, value):
         raise AttributeError("BalancedTriple is immutable")
@@ -357,8 +360,17 @@ def cube_to_triple(A: Cube) -> BalancedTriple:
     discriminants), one shear per direction, picked from the associated
     forms, is applied first and the resulting bases are mapped back through
     the inverse shear, so the returned triple always belongs to A itself.
-    The defining system, balancedness, and the norm-form laws are all
-    re-checked before returning.
+
+    BalancedTriple checks the norms and integrality; the round trip
+    triple_to_cube(triple) == A checks the defining system
+    alpha_i beta_j gamma_k = a'_ijk + a_ijk tau at all eight corners and the
+    three norm-form laws.  The slice law
+    N(I_1) beta_j gamma_k = a_2jk conj(alpha_1) - a_1jk conj(alpha_2)
+    follows: with X = beta_j gamma_k, a_ijk = (alpha_i X - conj(alpha_i X))
+    / (tau - conj(tau)), so the right side is
+    X (alpha_2 conj(alpha_1) - alpha_1 conj(alpha_2)) / (tau - conj(tau)),
+    which is N(I_1) X.  Every nondegenerate cube has a triple, so a failed
+    check here is an InternalError, never an InputError.
     """
     D = cube_disc(A)
     if D == 0:
@@ -370,65 +382,32 @@ def cube_to_triple(A: Cube) -> BalancedTriple:
     moves = (_shear(Q1, (1,)), _shear(Q2, (0,)), _shear(Q3, (0, 1)))
     B = A if moves == (_SHEARS[0],) * 3 else gamma_act(A, *moves)
     Bp = companion_cube(B)
-    alpha1, alpha2, beta1, beta2 = (
-        KElem(ring, Bp.coeffs[f], B.coeffs[f]) for f in (0, 4, 5, 7)
-    )
-    bases = ((alpha1, alpha2), (beta1, beta2), (1 / beta1, 1 / alpha2))
-    # direction i's ordered basis transforms by the inverse shear
-    triple = BalancedTriple(ring, [
-        (s * b1 - q * b2, p * b2 - r * b1)
-        for ((p, q), (r, s)), (b1, b2) in zip(moves, bases)
-    ])
-    _validate_triple_against_cube(triple, A, Bp if B is A else None)
+    try:
+        alpha1, alpha2, beta1, beta2 = (
+            KElem(ring, Bp.coeffs[f], B.coeffs[f]) for f in (0, 4, 5, 7)
+        )
+        bases = ((alpha1, alpha2), (beta1, beta2), (1 / beta1, 1 / alpha2))
+        # direction i's ordered basis transforms by the inverse shear
+        triple = BalancedTriple(ring, [
+            (s * b1 - q * b2, p * b2 - r * b1)
+            for ((p, q), (r, s)), (b1, b2) in zip(moves, bases)
+        ])
+        round_trip = triple_to_cube(triple)
+    except InputError as exc:
+        raise exact.InternalError(f"constructed triple rejected: {exc}") from exc
+    exact._ensure(round_trip == A, "triple does not give back its cube")
     return triple
-
-
-def _validate_triple_against_cube(triple: BalancedTriple, A: Cube, Ap=None):
-    ring = triple.ring
-    Ap = companion_cube(A) if Ap is None else Ap
-    (a1, a2), (b1, b2), (g1, g2) = triple.bases
-    al = (a1, a2)
-    be = (b1, b2)
-    ga = (g1, g2)
-    for i, j, k in iter_product((0, 1), repeat=3):
-        flat = 4 * i + 2 * j + k
-        want = KElem(ring, Ap.coeffs[flat], A.coeffs[flat])
-        if al[i] * be[j] * ga[k] != want:
-            raise exact.InternalError(f"defining system fails at corner {(i, j, k)}")
-    # norm-form laws, one per direction
-    for ideal, Q in zip(triple.ideals, assoc_forms(A)):
-        if ideal_to_bqf(ideal) != Q:
-            raise exact.InternalError("norm form does not match the associated form")
-    # cross view: N(I1) * beta_j gamma_k recovers the first-direction slices
-    n1 = triple.ideals[0].norm()
-    ca1, ca2 = a1.conj(), a2.conj()
-    for j, k in iter_product((0, 1), repeat=2):
-        lhs = n1 * (be[j] * ga[k])
-        rhs = A.coeff(1, j, k) * ca1 - A.coeff(0, j, k) * ca2
-        if lhs != rhs:
-            raise exact.InternalError(f"slice law fails at (j, k) = {(j, k)}")
 
 
 def triple_to_cube(T: BalancedTriple) -> Cube:
     """The cube of tau-parts of the eight basis products.
 
-    The tau-free parts must reproduce the companion of the result, and the
-    norm form of each ideal must equal the matching associated form; both
-    are verified before returning.
+    BalancedTriple has already checked that the products are integral.
+    Checked here: the tau-free parts reproduce the companion of the result,
+    and the norm form of each ideal equals the matching associated form.
     """
-    ring = T.ring
-    (a1, a2), (b1, b2), (g1, g2) = T.bases
-    al, be, ga = (a1, a2), (b1, b2), (g1, g2)
-    coeffs = [0] * 8
-    consts = [0] * 8
-    for i, j, k in iter_product((0, 1), repeat=3):
-        prod = al[i] * be[j] * ga[k]
-        if not prod.is_integral():
-            raise InputError("basis products leave the ring; triple is not balanced")
-        coeffs[4 * i + 2 * j + k] = prod.q
-        consts[4 * i + 2 * j + k] = prod.p
-    A = Cube(coeffs)
-    if companion_cube(A) != Cube(consts):
+    A = Cube(x.q for x in T.products)
+    if companion_cube(A) != Cube(x.p for x in T.products):
         raise InputError("tau-free parts do not form the companion cube")
     for ideal, Q in zip(T.ideals, assoc_forms(A)):
         if ideal_to_bqf(ideal) != Q:
@@ -446,15 +425,8 @@ def cube_class_compose(A: Cube, B: Cube) -> Cube:
     if not (is_projective(A) and is_projective(B)):
         raise InputError("class composition needs projective cubes")
     ta, tb = cube_to_triple(A), cube_to_triple(B)
-    bases = []
-    for Ia, Ib in zip(ta.ideals, tb.ideals):
-        prod = (Ia * Ib).hnf_basis()
-        bases.append(prod.basis)
+    bases = [(Ia * Ib).basis for Ia, Ib in zip(ta.ideals, tb.ideals)]
     return triple_to_cube(BalancedTriple(QuadraticRing(D), bases))
-
-
-def _principal_class_canonical(D: int) -> BQF:
-    return bqf_reduce(principal_form(D)).canonical
 
 
 def dual_cubes_solve(A: Cube, B: Cube, C: Cube) -> DualWitness:
@@ -462,8 +434,9 @@ def dual_cubes_solve(A: Cube, B: Cube, C: Cube) -> DualWitness:
 
     Route: take the balanced triple of each input, multiply the direction-m
     ideals across the inputs, extract a generator of each product (it must
-    be principal and positively oriented, or the classes do not sum to the
-    identity), normalize the three generators so their product is exactly 1,
+    be principal and positively oriented; its norm form is the composite of
+    the three Q_m, so this is the one composability check),
+    normalize the three generators so their product is exactly 1,
     rescale the first input's bases, regroup direction by direction, and
     read off the cubes.  Duality of the output against the inputs' forms is
     asserted on the nose.
@@ -475,14 +448,6 @@ def dual_cubes_solve(A: Cube, B: Cube, C: Cube) -> DualWitness:
         raise UnsupportedDomainError("dual solving is implemented for D < 0")
     if not (is_projective(A) and is_projective(B) and is_projective(C)):
         raise InputError("dual solving needs projective cubes")
-    # fast pre-check on form classes, direction by direction
-    ident = _principal_class_canonical(D)
-    for i in range(3):
-        QA, QB, QC = (assoc_forms(X)[i] for X in (A, B, C))
-        s = compose_dirichlet(compose_dirichlet(QA, QB), QC)
-        if s != ident:
-            raise InputError("not composable: class sum is not the identity")
-
     ta, tb, tc = cube_to_triple(A), cube_to_triple(B), cube_to_triple(C)
     kappas = []
     for m in range(3):
@@ -495,10 +460,7 @@ def dual_cubes_solve(A: Cube, B: Cube, C: Cube) -> DualWitness:
     exact._ensure(unit.is_integral() and unit.norm() == 1, "kappas give no unit")
     kappas[0] = kappas[0] / unit
 
-    scaled = [
-        [b / kappas[m] for b in ta.bases[m]]
-        for m in range(3)
-    ]
+    scaled = [[b / kappas[m] for b in ta.bases[m]] for m in range(3)]
     ring = ta.ring
     out = []
     for m in range(3):

@@ -481,6 +481,8 @@ class OrientedIdeal:
         return OrientedIdeal(self.ring, (k * self.basis[0], k * self.basis[1]), mu)
 
     def __mul__(self, other: "OrientedIdeal") -> "OrientedIdeal":
+        """The product ideal, already in its canonical Hermite basis: the
+        same basis hnf_basis() would return."""
         if not isinstance(other, OrientedIdeal) or other.ring != self.ring:
             raise InputError("can only multiply ideals over the same ring")
         rows, den = _int_rows([a * b for a in self.basis for b in other.basis])

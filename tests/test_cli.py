@@ -13,6 +13,7 @@ from cubecomp.cli import main
 from cubecomp.cubes import identity_cube
 from cubecomp.symspaces import BinaryCubic, cubic_identity
 from cubecomp.wire import dumps_envelope, parse_envelope
+from tests.test_cubes import _corrupt_alpha1
 from tests.worked_examples import CUBE_A, CUBE_B, CUBE_C
 
 
@@ -306,6 +307,19 @@ def test_internal_check_failure_exits_4(tmp_path, capsys, monkeypatch):
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "companion construction disagrees" in err
+
+
+def test_corrupted_triple_corner_exits_4(tmp_path, capsys, monkeypatch):
+    # alpha_1 + 1 unbalances the triple cube_to_triple builds; that is the
+    # library's fault, not the input's, so exit 4 and not 2
+    _corrupt_alpha1(monkeypatch, lambda ring: 1)
+    p = tmp_path / "in.json"
+    p.write_text(dumps_envelope("cube", -47, [CUBE_A, CUBE_B, CUBE_C]))
+    code, out, err = _run(capsys, ["dual", "--in", str(p)])
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "norms multiply to 1/2" in err
 
 
 def test_dual_rejects_positive_disc(tmp_path, capsys):

@@ -1,10 +1,13 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cubecomp import cubes
 from cubecomp.bqf import (
     BQF,
+    bqf_to_ideal,
     enumerate_class_group,
     ideal_class_equal,
     principal_form,
@@ -30,7 +33,7 @@ from cubecomp.cubes import (
     triple_to_cube,
     verify_cube_composition,
 )
-from cubecomp.exact import InputError, UnsupportedDomainError
+from cubecomp.exact import InputError, InternalError, UnsupportedDomainError
 from cubecomp.qring import KElem, OrientedIdeal, QuadraticRing
 from tests.worked_examples import (
     CUBE_A,
@@ -209,14 +212,66 @@ def test_triple_round_trip_random_including_nonprojective():
     assert seen_nonprojective
 
 
+# the first slice M_1 has rank <= 1, so Q1 has a = -det(M_1) = 0 and D = b^2
+_square_disc_cubes = st.builds(
+    lambda u0, u1, v0, v1, n: [u0 * v0, u0 * v1, u1 * v0, u1 * v1, *n],
+    *(st.integers(-4, 4) for _ in range(4)),
+    st.lists(st.integers(-4, 4), min_size=4, max_size=4),
+)
+
+
 @settings(max_examples=400, deadline=None, database=None, derandomize=True)
-@given(st.lists(st.integers(-8, 8), min_size=8, max_size=8))
+@given(st.one_of(
+    st.lists(st.integers(-8, 8), min_size=8, max_size=8), _square_disc_cubes
+))
 def test_triple_round_trip_every_nondegenerate_cube(coeffs):
     # square discriminants included: there a corner norm can vanish and a
     # shear is needed in one, two or all three directions
     A = Cube(coeffs)
     assume(cube_disc(A) != 0)
-    assert triple_to_cube(cube_to_triple(A)) == A
+    t = cube_to_triple(A)
+    assert triple_to_cube(t) == A
+    # the slice law N(I_1) beta_j gamma_k = a_2jk conj(alpha_1) -
+    # a_1jk conj(alpha_2), which the round trip implies
+    (a1, a2), be, ga = t.bases
+    n1 = t.ideals[0].norm()
+    for j, k in itertools.product((0, 1), repeat=2):
+        rhs = A.coeff(1, j, k) * a1.conj() - A.coeff(0, j, k) * a2.conj()
+        assert n1 * (be[j] * ga[k]) == rhs
+
+
+def _corrupt_alpha1(monkeypatch, shift):
+    """Make cube_to_triple build alpha_1 + shift(ring) for alpha_1: it is
+    the first of the four corner elements made through cubes.KElem."""
+    real = cubes.KElem
+    calls = itertools.count()
+
+    def corrupted(ring, p, q=0, d=1):
+        x = real(ring, p, q, d)
+        return x + shift(ring) if next(calls) % 4 == 0 else x
+
+    monkeypatch.setattr(cubes, "KElem", corrupted)
+
+
+def _alpha2_of_cube_a(ring):
+    return KElem(ring, companion_cube(CUBE_A).coeffs[4], CUBE_A.coeffs[4])
+
+
+@pytest.mark.parametrize(
+    "shift, message",
+    [
+        # the alpha basis loses its norm: BalancedTriple rejects it
+        (lambda ring: 1, "norms multiply to 1/2"),
+        # (alpha_1 + alpha_2, alpha_2) spans the same oriented ideal, so the
+        # triple is balanced, but it is the triple of another cube
+        (_alpha2_of_cube_a, "does not give back its cube"),
+    ],
+    ids=["alpha1+1", "alpha1+alpha2"],
+)
+def test_corrupted_corner_is_an_internal_error(monkeypatch, shift, message):
+    _corrupt_alpha1(monkeypatch, shift)
+    with pytest.raises(InternalError, match=message):
+        cube_to_triple(CUBE_A)
 
 
 def test_triple_round_trip_needs_shears_in_every_direction():
@@ -239,6 +294,15 @@ def test_balanced_triple_rejects_norm_imbalance():
     one, tau = ring.one(), ring.tau()
     with pytest.raises(InputError):
         BalancedTriple(ring, (((one + one), tau), (one, tau), (one, tau)))
+
+
+def test_balanced_triple_rejects_product_outside_the_ring():
+    # N(P) N(P/2) N(S) = 2 * 1/2 * 1 = 1, but P^2/2 is not inside S
+    ring = QuadraticRing(-47)
+    P = bqf_to_ideal(BQF(2, 1, 6)).basis
+    half = [b / 2 for b in P]
+    with pytest.raises(InputError, match="does not land in the ring"):
+        BalancedTriple(ring, (P, half, (ring.one(), ring.tau())))
 
 
 def test_rescaled_triple_gives_equivalent_cube():
