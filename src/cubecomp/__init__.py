@@ -24,7 +24,6 @@ from .qring import (
     KElem,
     OrientedIdeal,
     QuadraticRing,
-    kelem_cube_root,
     principal_generator,
 )
 from .bqf import (

@@ -38,23 +38,14 @@ class BQF:
     def __setattr__(self, name, value):
         raise AttributeError("BQF is immutable")
 
-    @classmethod
-    def from_triple(cls, t) -> "BQF":
-        if len(t) != 3:
-            raise InputError("a form needs exactly three coefficients")
-        return cls(*t)
-
     def coeffs(self):
         return (self.a, self.b, self.c)
 
     def disc(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
 
-    def content(self) -> int:
-        return gcd(gcd(abs(self.a), abs(self.b)), abs(self.c))
-
     def is_primitive(self) -> bool:
-        return self.content() == 1
+        return gcd(self.a, self.b, self.c) == 1
 
     def __call__(self, x, y):
         return self.a * x * x + self.b * x * y + self.c * y * y

@@ -341,8 +341,15 @@ def cmd_examples(args) -> Report:
 # -- wiring ----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are malformed input (exit 2); --help still exits 0."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="cubecomp",
         description="exact composition laws for forms, cubes and their relatives",
     )
@@ -405,9 +412,9 @@ def main(argv=None) -> int:
 
 
 def _main(argv) -> int:
-    args = _build_parser().parse_args(argv)
-    t0 = time.perf_counter()
     try:
+        args = _build_parser().parse_args(argv)
+        t0 = time.perf_counter()
         rep = args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ the values of coords(), norm() and trace().
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from . import exact
 from .exact import InputError, UnsupportedDomainError, lagrange_gauss_reduce
@@ -57,17 +57,6 @@ class QuadraticRing:
 
     def tau(self) -> "KElem":
         return KElem._of(self, 0, 1, 1)
-
-    def torsion_units(self):
-        """Roots of unity in S(D)."""
-        if self.D == -4:
-            t = self.tau()
-            return [self.one(), t, -self.one(), -t]
-        if self.D == -3:
-            t = self.tau()
-            u = t * t  # tau - 1, a primitive cube root of unity
-            return [self.one(), t, u, -self.one(), -t, -u]
-        return [self.one(), -self.one()]
 
 
 def _ratio(x):
@@ -121,9 +110,6 @@ class KElem:
 
     def is_zero(self) -> bool:
         return self.p == 0 and self.q == 0
-
-    def is_rational(self) -> bool:
-        return self.q == 0
 
     def is_integral(self) -> bool:
         return self.d == 1
@@ -229,97 +215,6 @@ class KElem:
             base = base * base
             k >>= 1
         return out
-
-
-def _integer_cube_root(n: int):
-    """The integer r with r**3 == n, or None."""
-    m = abs(n)
-    # Newton from above: 2**ceil(bits/3) exceeds the root, and each step
-    # stays at or above floor(m**(1/3)) while r**3 > m
-    r = 1 << -(-m.bit_length() // 3)
-    while r * r * r > m:
-        r = (2 * r + m // (r * r)) // 3
-    if r * r * r != m:
-        return None
-    return r if n >= 0 else -r
-
-
-def _rational_cube_root(x: Fraction):
-    """Exact cube root of a rational, or None."""
-    a = _integer_cube_root(x.numerator)
-    b = _integer_cube_root(x.denominator)
-    if a is None or b is None:
-        return None
-    return Fraction(a, b)
-
-
-def _rational_sqrt(x: Fraction):
-    if x < 0:
-        return None
-    a, b = isqrt(x.numerator), isqrt(x.denominator)
-    if a * a != x.numerator or b * b != x.denominator:
-        return None
-    return Fraction(a, b)
-
-
-def _cubic_integer_roots(c1: int, c0: int):
-    """The integer roots of T^3 + c1*T + c0, by bisection on each piece of
-    the integers where the cubic is monotone."""
-    def f(T):
-        return T * (T * T + c1) + c0
-
-    bound = 1 + max(abs(c1), abs(c0))  # Cauchy's bound on every root
-    if c1 >= 0:
-        pieces = ((-bound, bound, 1),)
-    else:
-        # the turning points are +-sqrt(-c1/3); h <= sqrt(-c1/3) < h + 1
-        h = isqrt(-c1 // 3)
-        pieces = ((-bound, -h - 1, 1), (-h, h, -1), (h + 1, bound, 1))
-    roots = set()
-    for lo, hi, sign in pieces:
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if sign * f(mid) < 0:
-                lo = mid + 1
-            else:
-                hi = mid
-        if f(lo) == 0:
-            roots.add(lo)
-    return roots
-
-
-def kelem_cube_root(x: KElem):
-    """A y in the same field with y^3 = x, if one exists, else None.
-
-    Any solution has N(y)^3 = N(x) and its trace t satisfies the monic cubic
-    t^3 - 3*N(y)*t - tr(x) = 0, so both are found by exact rational root
-    extraction; p and q are then recovered from t and t^2 - 4*N(y) = q^2*D.
-    """
-    ring = x.ring
-    if x.is_zero():
-        return ring.zero()
-    n_y = _rational_cube_root(x.norm())
-    if n_y is None:
-        return None
-    if ring.D == 0:
-        r = _rational_cube_root(Fraction(x.p, x.d)) if x.is_rational() else None
-        return None if r is None else KElem(ring, r)
-    tr_x = x.trace()
-    M = lcm(n_y.denominator, tr_x.denominator)
-    c1 = -3 * n_y * M * M  # integer by choice of M
-    c0 = -tr_x * M * M * M
-    for T in _cubic_integer_roots(int(c1), int(c0)):
-        t = Fraction(T, M)
-        q2 = (t * t - 4 * n_y) / ring.D
-        qroot = _rational_sqrt(q2)
-        if qroot is None:
-            continue
-        for q in {qroot, -qroot}:
-            p = (t - q * ring.eps) / 2
-            y = KElem(ring, p, q)
-            if y * y * y == x:
-                return y
-    return None
 
 
 def _hnf_rows(rows):

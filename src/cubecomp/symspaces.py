@@ -26,7 +26,7 @@ from .cubes import (
 from . import exact
 from .exact import BINARY_POINTS, InputError, UnsupportedDomainError
 from .exact import VerifyResult, verify_at_points
-from .qring import OrientedIdeal, QuadraticRing, kelem_cube_root
+from .qring import OrientedIdeal, QuadraticRing
 
 
 class BinaryCubic:
@@ -205,8 +205,8 @@ class CubicComposition:
     """Class-level composition data for two cubics of one discriminant.
 
     Holds the product ideal and the product of the two delta generators;
-    ``sums_to_identity_with`` settles whether a third cubic closes the
-    triple to the identity class.
+    ``sums_to_identity_with`` decides from the forms alone whether a third
+    cubic closes the triple to the identity class.
     """
 
     __slots__ = ("f", "g", "ring", "ideal", "delta")
@@ -222,21 +222,22 @@ class CubicComposition:
         raise AttributeError("CubicComposition is immutable")
 
     def sums_to_identity_with(self, h: BinaryCubic) -> bool:
-        D = self.ring.D
-        if cubic_disc(h) != D:
+        """Whether [f] + [g] + [h] is the identity class: Q_f*Q_g*Q_h ~ 1.
+
+        The forms decide the whole triple (S, I, delta):
+        - a projective cubic has I_f^3 = delta_f*S;
+        - if Q_f*Q_g*Q_h is principal, I_f*I_g*I_h = kappa*S, so
+          delta_f*delta_g*delta_h = kappa^3*u with u a unit;
+        - at D < 0, which cubic_class_compose enforces, u is a root of
+          unity, so the product of the deltas is a cube up to one.
+        A non-projective h has an imprimitive Q_h: compose_dirichlet raises.
+        """
+        if cubic_disc(h) != self.ring.D:
             raise InputError("discriminant mismatch")
-        _, _, delta_h = _cubic_ideal_data(h)
         qtot = compose_dirichlet(
             compose_dirichlet(cubic_q(self.f), cubic_q(self.g)), cubic_q(h)
         )
-        if qtot != bqf_reduce(principal_form(D)).canonical:
-            return False
-        # delta is only pinned down up to cubes and unit factors
-        total = self.delta * delta_h
-        return any(
-            kelem_cube_root(total * u) is not None
-            for u in self.ring.torsion_units()
-        )
+        return qtot == bqf_reduce(principal_form(self.ring.D)).canonical
 
 
 def cubic_class_compose(f: BinaryCubic, g: BinaryCubic) -> CubicComposition:

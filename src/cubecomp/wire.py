@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 
-from .altforms import QuatAltPair, SenaryAlt3
 from .bqf import BQF
 from .cubes import Cube
 from .exact import InputError
@@ -62,16 +61,6 @@ def encode_object(obj, role: str | None = None) -> dict:
                 [_emit_int(c) for c in obj.f2.coeffs()],
             ],
         }
-    elif isinstance(obj, QuatAltPair):
-        d = {
-            "kind": "quat_pair",
-            "matrices": [
-                [[_emit_int(c) for c in row] for row in obj.f1],
-                [[_emit_int(c) for c in row] for row in obj.f2],
-            ],
-        }
-    elif isinstance(obj, SenaryAlt3):
-        d = {"kind": "senary", "coeffs": [_emit_int(c) for c in obj.coeffs]}
     else:
         raise InputError(f"cannot serialize {type(obj).__name__}")
     if role is not None:
@@ -97,18 +86,6 @@ def parse_object(d):
             BQF(*_parse_int_list(forms[0], 3)),
             BQF(*_parse_int_list(forms[1], 3)),
         )
-    if kind == "quat_pair":
-        mats = d.get("matrices")
-        if not isinstance(mats, list) or len(mats) != 2:
-            raise InputError("a quaternary pair carries exactly two matrices")
-        parsed = []
-        for m in mats:
-            if not isinstance(m, list) or len(m) != 4:
-                raise InputError("expected a 4x4 matrix")
-            parsed.append(tuple(tuple(_parse_int_list(row, 4)) for row in m))
-        return QuatAltPair(*parsed)
-    if kind == "senary":
-        return SenaryAlt3(_parse_int_list(d.get("coeffs"), 20))
     raise InputError(f"unknown object kind {kind!r}")
 
 

@@ -254,6 +254,47 @@ def test_verify_needs_infile(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["frobnicate"],
+        ["verify", "--law", "nope"],
+        ["dual"],
+        ["classgroup", "--discriminant", "-47", "--bogus"],
+    ],
+)
+def test_usage_errors_are_one_line(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["dual", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: cubecomp")
+    assert captured.err == ""
+
+
+def test_quat_pair_object_is_an_unknown_kind(tmp_path, capsys):
+    p = tmp_path / "in.json"
+    matrix = [["0"] * 4] * 4
+    p.write_text(json.dumps({
+        "space": "quat",
+        "discriminant": "-47",
+        "objects": [{"kind": "quat_pair", "matrices": [matrix, matrix]}],
+    }))
+    code, out, err = _run(capsys, ["verify", "--law", "quat", "--in", str(p)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown object kind 'quat_pair'\n"
+
+
 def test_verify_rejects_malformed_json(tmp_path, capsys):
     p = tmp_path / "in.json"
     p.write_text("{oops")

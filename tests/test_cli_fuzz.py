@@ -1,9 +1,11 @@
-"""Property test of the CLI contract: whatever the envelope, ``cli.main``
-returns an exit code from 0 to 4, prints no traceback, and writes at most one
-line to stderr, none at all unless the exit code is 2, 3 or 4.
+"""Property test of the CLI contract: whatever the envelope or argument
+list, ``cli.main`` returns an exit code from 0 to 4, prints no traceback, and
+writes at most one line to stderr, none at all unless the exit code is 2, 3
+or 4.
 
 Inputs are the worked envelopes of every subcommand that reads one, the same
-envelopes with a few mutations, and raw bytes.
+envelopes with a few mutations, raw bytes, and the worked argument lists with
+one token dropped or replaced.
 """
 
 import contextlib
@@ -43,6 +45,7 @@ WORKED = (
     (["verify", "--law", "pair"], _fixture("pair_disc_m31.json")),
     (["verify", "--law", "quat"], _fixture("quat_disc_m47.json")),
 )
+# quat_pair and senary are kinds no envelope may carry
 KINDS = ("bqf", "cube", "cubic", "pair", "quat_pair", "senary")
 
 
@@ -95,6 +98,18 @@ _senary = st.builds(
     st.sampled_from((-4, -1, 0, 1, 4)),
 )
 
+@st.composite
+def _usage(draw):
+    argv, _ = draw(st.sampled_from(WORKED))
+    argv = list(argv)
+    i = draw(st.integers(0, len(argv) - 1))
+    if draw(st.booleans()):
+        del argv[i]
+    else:
+        argv[i] = draw(st.sampled_from(("nope", "--nope", "--json")))
+    return argv, None
+
+
 _raw = st.tuples(
     st.sampled_from([argv for argv, _ in WORKED]), st.binary(max_size=64)
 )
@@ -104,7 +119,7 @@ _raw = st.tuples(
     max_examples=200, deadline=None, database=None, derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(st.one_of(_mutated(), _senary, _raw), st.booleans())
+@given(st.one_of(_mutated(), _senary, _usage(), _raw), st.booleans())
 def test_cli_exit_contract(tmp_path_factory, case, as_json):
     argv, data = case
     if data is not None:

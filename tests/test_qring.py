@@ -8,8 +8,6 @@ from cubecomp.qring import (
     KElem,
     OrientedIdeal,
     QuadraticRing,
-    _rational_cube_root,
-    kelem_cube_root,
     principal_generator,
 )
 
@@ -42,44 +40,6 @@ def test_norm_and_trace_are_multiplicative_additive():
         y = ring.element(rng.randint(-9, 9), rng.randint(-9, 9))
         assert (x * y).norm() == x.norm() * y.norm()
         assert (x + y).trace() == x.trace() + y.trace()
-
-
-def test_torsion_units():
-    assert len(QuadraticRing(-3).torsion_units()) == 6
-    assert len(QuadraticRing(-4).torsion_units()) == 4
-    assert len(QuadraticRing(-47).torsion_units()) == 2
-    assert len(QuadraticRing(8).torsion_units()) == 2
-    for u in QuadraticRing(-3).torsion_units():
-        assert u.norm() == 1 or u.norm() == -1
-
-
-def test_cube_root_round_trip():
-    rng = random.Random(81)
-    ring = QuadraticRing(-23)
-    for _ in range(40):
-        x = ring.element(rng.randint(-6, 6), rng.randint(-6, 6))
-        r = kelem_cube_root(x * x * x)
-        assert r is not None
-        assert r * r * r == x * x * x
-
-
-def test_cube_root_rejects_non_cubes():
-    ring = QuadraticRing(-23)
-    # tau has norm 6; 6 is not a rational cube, so tau cannot be one either
-    assert kelem_cube_root(ring.tau()) is None
-    assert kelem_cube_root(ring.element(2)) is None
-
-
-def test_rational_cube_root_of_large_integers():
-    # 3^45 and 3^54 lie past 2^52, where a float seed loses the root
-    for b in (3**15, 3**18, 10**20 - 1, 10**20, 10**20 + 7):
-        n = b**3
-        assert _rational_cube_root(Fraction(n)) == b
-        assert _rational_cube_root(Fraction(-n, 8)) == Fraction(-b, 2)
-        assert _rational_cube_root(Fraction(n + 1)) is None
-        assert _rational_cube_root(Fraction(n - 1)) is None
-    assert _rational_cube_root(Fraction(0)) == 0
-    assert _rational_cube_root(Fraction(1, 27)) == Fraction(1, 3)
 
 
 def test_ordered_basis_orientation():
@@ -145,11 +105,3 @@ def test_fractional_scaling_keeps_norms_consistent():
     half = I.scale(KElem(ring, Fraction(1, 2)))
     assert half.norm() == I.norm() * Fraction(1, 4)
 
-
-def test_cube_root_with_a_huge_trace():
-    # the trace's cubic has a 91-digit constant term, far beyond any divisor
-    # search; at D = -23 the only roots of unity are +-1, so the root is unique
-    ring = QuadraticRing(-23)
-    y = KElem(ring, 10**30 + 7, 3)
-    assert kelem_cube_root(y**3) == y
-    assert kelem_cube_root(y**3 + 1) is None

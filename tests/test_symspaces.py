@@ -1,13 +1,17 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cubecomp.bqf import BQF, reduce
 from cubecomp.cubes import Cube, cube_disc, identity_cube, is_projective
 from cubecomp.exact import InputError, UnsupportedDomainError
+from cubecomp.qring import OrientedIdeal, principal_generator
 from cubecomp.symspaces import (
     BinaryCubic,
     PairBQF,
+    _cubic_ideal_data,
     cubic_class_compose,
     cubic_companion,
     cubic_disc,
@@ -152,6 +156,58 @@ def test_cubic_composition_truth_table_disc_m23():
     assert cubic_class_compose(fid, fid).sums_to_identity_with(fid)
     assert cubic_class_compose(f, f).sums_to_identity_with(f)
     assert not cubic_class_compose(fid, fid).sums_to_identity_with(f)
+
+
+def _projective_cubics(bound):
+    """Projective cubics of negative discriminant with coefficients in
+    [-bound, bound], grouped by discriminant."""
+    by_disc = {}
+    for c in itertools.product(range(-bound, bound + 1), repeat=4):
+        f = BinaryCubic(*c)
+        D = cubic_disc(f)
+        if D < 0 and is_projective(cubic_embed(f)):
+            by_disc.setdefault(D, []).append(f)
+    return by_disc
+
+
+@pytest.mark.parametrize("D", [-3, -4])
+def test_cubic_composition_truth_table_class_number_one(D):
+    # h = 1, and the unit groups are the largest there are (6 and 4 roots
+    # of unity): every triple closes
+    cubics = _projective_cubics(1)[D]
+    assert cubic_identity(D) in cubics
+    for f, g in itertools.product(cubics, repeat=2):
+        comp = cubic_class_compose(f, g)
+        assert all(comp.sums_to_identity_with(h) for h in cubics)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(st.tuples(*(st.integers(-12, 12) for _ in range(4))))
+def test_projective_cubic_ideal_cubes_to_delta(coeffs):
+    # I_f^3 = delta_f * S, the premise that lets the forms alone decide
+    # closure in sums_to_identity_with
+    f = BinaryCubic(*coeffs)
+    assume(cubic_disc(f) < 0 and is_projective(cubic_embed(f)))
+    ring, I, delta = _cubic_ideal_data(f)
+    assert (I * I * I).same_module(OrientedIdeal.unit_ideal(ring).scale(delta))
+
+
+def test_cubic_closure_matches_ideal_oracle():
+    # the ideal product I_f I_g I_h is principal exactly when the forms say
+    # the triple closes; the oracle shares no code with the forms
+    by_disc = _projective_cubics(3)
+    discs = sorted(D for D, fs in by_disc.items() if len(fs) >= 3)
+    rng = random.Random(2323)
+    closed = 0
+    for _ in range(400):
+        fs = by_disc[rng.choice(discs)]
+        f, g, h = (rng.choice(fs) for _ in range(3))
+        comp = cubic_class_compose(f, g)
+        ideal_h = _cubic_ideal_data(h)[1]
+        expected = principal_generator(comp.ideal * ideal_h) is not None
+        assert comp.sums_to_identity_with(h) == expected
+        closed += expected
+    assert 0 < closed < 400
 
 
 def test_cubic_composition_certificate_shape():

@@ -20,11 +20,10 @@ SAMPLES = (
     Cube((0, -1, -2, -1, -1, 0, 0, 6)),
     BinaryCubic(1, 1, 2, 2),
     PairBQF(BQF(0, 80, -63), BQF(1, -30, 23)),
-    QuatAltPair(
-        ((0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0)),
-        ((0, 0, 0, 2), (0, 0, -2, 0), (0, 2, 0, 0), (-2, 0, 0, 0)),
-    ),
-    SenaryAlt3(tuple(range(-10, 10))),
+)
+QUAT_PAIR = QuatAltPair(
+    ((0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0)),
+    ((0, 0, 0, 2), (0, 0, -2, 0), (0, 2, 0, 0), (-2, 0, 0, 0)),
 )
 
 
@@ -60,7 +59,7 @@ def test_wrong_arity_rejected():
     with pytest.raises(InputError):
         parse_object({"kind": "cube", "coeffs": [1, 2, 3]})
     with pytest.raises(InputError):
-        parse_object({"kind": "senary", "coeffs": [0] * 19})
+        parse_object({"kind": "cubic", "coeffs": [0] * 5})
     with pytest.raises(InputError):
         parse_object({"kind": "pair", "forms": [[1, 2, 3]]})
 
@@ -70,6 +69,19 @@ def test_unknown_kind_rejected():
         parse_object({"kind": "octonion", "coeffs": [1]})
     with pytest.raises(InputError):
         parse_object(["not", "a", "dict"])
+
+
+def test_unread_kinds_rejected():
+    # the quaternary and senary laws read cubes and a discriminant, so no
+    # envelope carries their forms
+    quat = {"kind": "quat_pair", "matrices": [[["0"] * 4] * 4] * 2}
+    senary = {"kind": "senary", "coeffs": ["0"] * 20}
+    for d in (quat, senary):
+        with pytest.raises(InputError, match="unknown object kind"):
+            parse_object(d)
+    for obj in (QUAT_PAIR, SenaryAlt3(tuple(range(-10, 10)))):
+        with pytest.raises(InputError, match="cannot serialize"):
+            encode_object(obj)
 
 
 def test_envelope_round_trip_with_roles():
