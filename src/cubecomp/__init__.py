@@ -63,7 +63,6 @@ from .cubes import (
 )
 from .symspaces import (
     BinaryCubic,
-    CubicComposition,
     PairBQF,
     cubic_class_compose,
     cubic_companion,
@@ -72,6 +71,7 @@ from .symspaces import (
     cubic_identity,
     cubic_q,
     cubicovariant,
+    pair_class_compose,
     pair_companion,
     pair_disc,
     pair_embed,

@@ -126,10 +126,7 @@ def quat_companion(P: QuatAltPair) -> QuatAltPair:
     """Companion pair via the first-slot substitution built from the
     Pfaffian form, mirroring the cube companion's slice recipe."""
     form = pair_pfaffian_form(P)
-    d = form.disc()
-    eps = d % 4
-    if eps not in (0, 1):
-        raise InputError("discriminant must be 0 or 1 mod 4")
+    eps = form.disc() % 4
     p, q, r = form.a, form.b, form.c
     s, t = (q - eps) // 2, (-q - eps) // 2
     f1 = tuple(
@@ -300,8 +297,7 @@ def senary_identity_pair(D: int):
     a_parts, ap_parts = [], []
     for i, j, k in _TRIPLES:
         det = _det3((basis[i], basis[j], basis[k]))
-        if not det.is_integral():
-            raise InputError("determinant fell outside the ring")
+        exact._ensure(det.is_integral(), "determinant fell outside the ring")
         ap_parts.append(det.p)
         a_parts.append(det.q)
     E = SenaryAlt3(a_parts)

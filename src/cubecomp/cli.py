@@ -1,12 +1,13 @@
 """Command line front end.
 
-Subcommands: classgroup, compose, verify, dual, examples.  Every run prints
-a report (human text by default, a JSON document with --json) carrying the
-verdict, the reasons for any failure, the computed artifacts, and the wall
-time.  Exit codes: 0 for verified or composed, 1 when a verification comes
-back false, 2 for malformed input, 3 for a domain the exact routines do not
-cover, 4 when one of the library's own correctness checks fails or the
-library crashes.
+Subcommands: classgroup, compose, verify, dual, examples.  compose folds
+the objects of a bqf, cube, cubic or pair envelope into one product of the
+same space.  Every run prints a report (human text by default, a JSON
+document with --json) carrying the verdict, the reasons for any failure, the
+computed artifacts, and the wall time.  Exit codes: 0 for verified or
+composed, 1 when a verification comes back false, 2 for malformed input, 3
+for a domain the exact routines do not cover, 4 when one of the library's
+own correctness checks fails or the library crashes.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ import json
 import os
 import sys
 import time
+from functools import reduce
 from importlib import resources
 
 from .altforms import verify_quaternary_composition, verify_senary_identity
 from .bqf import BQF, compose_dirichlet, enumerate_class_group
 from .cubes import (
     Cube,
-    assoc_forms,
     cube_class_compose,
     cube_disc,
     dual_cubes_solve,
@@ -35,7 +36,7 @@ from .symspaces import (
     PairBQF,
     cubic_class_compose,
     cubic_disc,
-    cubic_q,
+    pair_class_compose,
     pair_disc,
     verify_cubic_composition,
     verify_pair_composition,
@@ -168,72 +169,36 @@ def cmd_classgroup(args) -> Report:
     return rep
 
 
+# space -> (object type, class composition, discriminant)
+_COMPOSE = {
+    "bqf": (BQF, compose_dirichlet, BQF.disc),
+    "cube": (Cube, cube_class_compose, cube_disc),
+    "cubic": (BinaryCubic, cubic_class_compose, cubic_disc),
+    "pair": (PairBQF, pair_class_compose, pair_disc),
+}
+
+
 def cmd_compose(args) -> Report:
     rep = Report("compose")
     env = _read_envelope(args.infile)
-    if env.space == "bqf":
-        forms = [o for o in env.objects if isinstance(o, BQF)]
-        if len(forms) < 2 or len(forms) != len(env.objects):
-            raise InputError("composition needs at least two forms")
-        _check_disc(env, (Q.disc() for Q in forms))
-        acc = forms[0]
-        for Q in forms[1:]:
-            acc = compose_dirichlet(acc, Q)
-        rep.lines.append(f"composed class: {_form_str(acc)}")
-        rep.artifacts.append(
-            encode_envelope("bqf", env.discriminant, [acc], ["product"])
-        )
-    elif env.space == "cube":
-        ((A, B),) = _split(env, ((Cube, 2, "cubes"),))
-        _check_disc(env, (cube_disc(A), cube_disc(B)))
-        C = cube_class_compose(A, B)
-        rep.lines.append(f"composed class representative: {list(C.coeffs)}")
-        rep.lines.append(
-            "  Q1: " + _form_str(assoc_forms(C)[0])
-        )
-        rep.artifacts.append(
-            encode_envelope("cube", env.discriminant, [C], ["product"])
-        )
-    elif env.space == "cubic":
-        ((f, g),) = _split(env, ((BinaryCubic, 2, "cubics"),))
-        _check_disc(env, (cubic_disc(f), cubic_disc(g)))
-        comp = cubic_class_compose(f, g)
-        qprod = compose_dirichlet(cubic_q(f), cubic_q(g))
-        rep.lines.append(
-            "composed class certificate (ideal basis and generator product):"
-        )
-        for name, el in (
-            ("basis[0]", comp.ideal.basis[0]),
-            ("basis[1]", comp.ideal.basis[1]),
-            ("delta", comp.delta),
-        ):
-            rep.lines.append(f"  {name}: ({el.p} + {el.q} t) / {el.d}")
-        rep.lines.append(f"  form product class: {_form_str(qprod)}")
-        rep.artifacts.append(
-            {
-                "ideal_basis": [
-                    {
-                        "p": _emit_int(el.p),
-                        "q": _emit_int(el.q),
-                        "d": _emit_int(el.d),
-                    }
-                    for el in comp.ideal.basis
-                ],
-                "delta": {
-                    "p": _emit_int(comp.delta.p),
-                    "q": _emit_int(comp.delta.q),
-                    "d": _emit_int(comp.delta.d),
-                },
-                "form_product": encode_envelope(
-                    "bqf", env.discriminant, [qprod]
-                ),
-            }
-        )
-    else:
+    if env.space not in _COMPOSE:
         raise InputError(
             f"composition is not implemented in the {env.space!r} space; "
             "compose in the cube space instead"
         )
+    kind, compose, disc = _COMPOSE[env.space]
+    objs = env.objects
+    if len(objs) < 2 or not all(isinstance(o, kind) for o in objs):
+        raise InputError(f"composition needs at least two {env.space} objects")
+    _check_disc(env, map(disc, objs))
+    product = encode_envelope(
+        env.space, env.discriminant, [reduce(compose, objs)], ["product"]
+    )
+    obj = product["objects"][0]
+    # the wire's decimal strings, unquoted: [1, 1, 12], or [[...], [...]]
+    coeffs = json.dumps(obj.get("coeffs") or obj["forms"]).replace('"', "")
+    rep.lines.append(f"composed class: {coeffs}")
+    rep.artifacts.append(product)
     return rep
 
 

@@ -11,7 +11,8 @@ ideals, and the dual-cube solver built on that dictionary.
 
 from __future__ import annotations
 
-from .bqf import BQF, GaussBilinearData, ideal_to_bqf, verify_gauss_identity
+from .bqf import BQF, GaussBilinearData, _is_square, ideal_to_bqf
+from .bqf import verify_gauss_identity
 from . import exact
 from .exact import BINARY_POINTS, InputError, MultiForm, UnsupportedDomainError
 from .exact import VerifyResult, verify_at_points
@@ -362,7 +363,7 @@ def cube_to_triple(A: Cube) -> BalancedTriple:
     the inverse shear, so the returned triple always belongs to A itself.
 
     BalancedTriple checks the norms and integrality; the round trip
-    triple_to_cube(triple) == A checks the defining system
+    triple_to_cube(triple) == A (_check_products) checks the defining system
     alpha_i beta_j gamma_k = a'_ijk + a_ijk tau at all eight corners and the
     three norm-form laws.  The slice law
     N(I_1) beta_j gamma_k = a_2jk conj(alpha_1) - a_1jk conj(alpha_2)
@@ -392,11 +393,22 @@ def cube_to_triple(A: Cube) -> BalancedTriple:
             (s * b1 - q * b2, p * b2 - r * b1)
             for ((p, q), (r, s)), (b1, b2) in zip(moves, bases)
         ])
-        round_trip = triple_to_cube(triple)
+        _check_products(triple, A, Bp if B is A else companion_cube(A))
     except InputError as exc:
         raise exact.InternalError(f"constructed triple rejected: {exc}") from exc
-    exact._ensure(round_trip == A, "triple does not give back its cube")
     return triple
+
+
+def _check_products(T: BalancedTriple, A: Cube, Ap: Cube) -> None:
+    """InputError unless T's basis products are Ap + A tau, Ap being A's
+    companion, and its ideals' norm forms are A's associated forms."""
+    if Cube(x.q for x in T.products) != A:
+        raise InputError("triple does not give back its cube")
+    if Cube(x.p for x in T.products) != Ap:
+        raise InputError("tau-free parts do not form the companion cube")
+    for ideal, Q in zip(T.ideals, assoc_forms(A)):
+        if ideal_to_bqf(ideal) != Q:
+            raise InputError("norm form does not match the associated form")
 
 
 def triple_to_cube(T: BalancedTriple) -> Cube:
@@ -407,26 +419,38 @@ def triple_to_cube(T: BalancedTriple) -> Cube:
     and the norm form of each ideal equals the matching associated form.
     """
     A = Cube(x.q for x in T.products)
-    if companion_cube(A) != Cube(x.p for x in T.products):
-        raise InputError("tau-free parts do not form the companion cube")
-    for ideal, Q in zip(T.ideals, assoc_forms(A)):
-        if ideal_to_bqf(ideal) != Q:
-            raise InputError("norm form does not match the associated form")
+    _check_products(T, A, companion_cube(A))
     return A
 
 
-def cube_class_compose(A: Cube, B: Cube) -> Cube:
-    """A representative of [A] + [B], through ideal multiplication."""
+def _triple_cube(ring: QuadraticRing, bases) -> Cube:
+    """triple_to_cube of a balanced triple on bases the library built
+    itself, so a rejection is an InternalError."""
+    try:
+        return triple_to_cube(BalancedTriple(ring, bases))
+    except InputError as exc:
+        raise exact.InternalError(f"constructed triple rejected: {exc}") from exc
+
+
+def _composable(A: Cube, B: Cube) -> None:
+    """The domain of class composition: projective inputs of one nonsquare
+    discriminant (at a square D, 0 included, S(D) is not a domain)."""
     D = cube_disc(A)
     if cube_disc(B) != D:
         raise InputError("discriminant mismatch")
-    if D >= 0:
-        raise UnsupportedDomainError("class composition is implemented for D < 0")
+    if _is_square(D):
+        raise UnsupportedDomainError("square discriminant")
     if not (is_projective(A) and is_projective(B)):
-        raise InputError("class composition needs projective cubes")
+        raise InputError("class composition needs projective inputs")
+
+
+def cube_class_compose(A: Cube, B: Cube) -> Cube:
+    """A representative of [A] + [B]: the cube of the balanced triple whose
+    direction-i ideal is the product of A's and B's."""
+    _composable(A, B)
     ta, tb = cube_to_triple(A), cube_to_triple(B)
     bases = [(Ia * Ib).basis for Ia, Ib in zip(ta.ideals, tb.ideals)]
-    return triple_to_cube(BalancedTriple(QuadraticRing(D), bases))
+    return _triple_cube(ta.ring, bases)
 
 
 def dual_cubes_solve(A: Cube, B: Cube, C: Cube) -> DualWitness:
@@ -461,12 +485,10 @@ def dual_cubes_solve(A: Cube, B: Cube, C: Cube) -> DualWitness:
     kappas[0] = kappas[0] / unit
 
     scaled = [[b / kappas[m] for b in ta.bases[m]] for m in range(3)]
-    ring = ta.ring
-    out = []
-    for m in range(3):
-        bases = (scaled[m], tb.bases[m], tc.bases[m])
-        out.append(triple_to_cube(BalancedTriple(ring, bases)))
-    witness = DualWitness(*out)
+    witness = DualWitness(*(
+        _triple_cube(ta.ring, (scaled[m], tb.bases[m], tc.bases[m]))
+        for m in range(3)
+    ))
     # duality on the nose: direction i of witness j is direction j of input i
     inputs = (A, B, C)
     for j, W in enumerate(witness.cubes()):

@@ -26,9 +26,9 @@ class InputError(ValueError):
 class UnsupportedDomainError(Exception):
     """Requested operation lies outside the supported domain.
 
-    Raised by solver paths that need D < 0 (principality testing, class
-    composition) when handed a nonnegative discriminant, and by reduction
-    on square discriminants.
+    Raised by the paths that need D < 0 (principality testing and the dual
+    solver built on it) when handed a nonnegative discriminant, and by
+    reduction and class composition at square discriminants.
     """
 
 

@@ -3,28 +3,32 @@
 Both spaces sit inside the cube space through symmetrization: a cubic
 a0 x^3 + 3 a1 x^2 y + 3 a2 x y^2 + a3 y^3 unfolds into the triply symmetric
 cube [a0,a1,a1,a2,a1,a2,a2,a3], and a pair of quadratic forms with even
-cross coefficients folds into a doubly symmetric cube.  Discriminants,
-companions and identity elements all pull back from the cube layer; the
-composition identities specific to these spaces are verified here at
-enough points of each binary slot to decide them exactly.
+cross coefficients folds into a cube symmetric in its last two directions.
+Discriminants, companions and identity elements pull back from the cube
+layer, and so does class composition: each space composes through one
+balanced triple read back into the space.  The composition identities
+specific to these spaces are verified here at enough points of each binary
+slot to decide them exactly.
 """
 
 from __future__ import annotations
 
-from .bqf import BQF, compose_dirichlet, principal_form, reduce as bqf_reduce
+from .bqf import BQF
 from .cubes import (
     Cube,
     _bilinear_pair,
+    _composable,
+    _triple_cube,
     _witness_reasons,
     assoc_forms,
     companion_cube,
     cube_disc,
+    cube_to_triple,
     cube_variants,
     identity_cube,
-    is_projective,
 )
 from . import exact
-from .exact import BINARY_POINTS, InputError, UnsupportedDomainError
+from .exact import BINARY_POINTS, InputError
 from .exact import VerifyResult, verify_at_points
 from .qring import OrientedIdeal, QuadraticRing
 
@@ -98,17 +102,20 @@ def cubic_q(f: BinaryCubic) -> BQF:
     return q1
 
 
-def cubic_companion(f: BinaryCubic) -> BinaryCubic:
-    c = companion_cube(cubic_embed(f)).coeffs
-    exact._ensure(c[1] == c[2] == c[4] and c[3] == c[5] == c[6], "asymmetric companion")
+def _cubic_of(A: Cube) -> BinaryCubic:
+    """The cubic that unfolds to A, a triply symmetric cube."""
+    c = A.coeffs
+    exact._ensure(c[1] == c[2] == c[4] and c[3] == c[5] == c[6], "cube is not triply symmetric")
     return BinaryCubic(c[0], c[1], c[3], c[7])
+
+
+def cubic_companion(f: BinaryCubic) -> BinaryCubic:
+    return _cubic_of(companion_cube(cubic_embed(f)))
 
 
 def cubicovariant(f: BinaryCubic) -> BinaryCubic:
     """The doubled covariant 2f' + eps*f; doubling keeps it integral."""
     eps = cubic_disc(f) % 4
-    if eps not in (0, 1):
-        raise InputError("cubic discriminant must be 0 or 1 mod 4")
     fp = cubic_companion(f)
     return BinaryCubic(*(2 * b + eps * a for a, b in zip(f.coeffs, fp.coeffs)))
 
@@ -189,8 +196,6 @@ def _cubic_ideal_data(f: BinaryCubic):
     fp = cubic_companion(f)
     alpha = ring.element(fp.a1, f.a1)
     beta = ring.element(fp.a2, f.a2)
-    if alpha.is_zero() or beta.is_zero():
-        raise InputError("cubic corner data is degenerate")
     try:
         ideal = OrientedIdeal.from_ordered_basis(ring, (alpha, beta))
     except InputError as exc:
@@ -201,59 +206,19 @@ def _cubic_ideal_data(f: BinaryCubic):
     return ring, ideal, delta
 
 
-class CubicComposition:
-    """Class-level composition data for two cubics of one discriminant.
+def cubic_class_compose(f: BinaryCubic, g: BinaryCubic) -> BinaryCubic:
+    """A cubic in the class [f] + [g].
 
-    Holds the product ideal and the product of the two delta generators;
-    ``sums_to_identity_with`` decides from the forms alone whether a third
-    cubic closes the triple to the identity class.
+    The pair (I, delta) = (I_f I_g, delta_f delta_g) of _cubic_ideal_data
+    has I^3 = delta S, so (I, I, delta^-1 I), with I's Hermite basis in all
+    three directions, is a balanced triple; its cube is triply symmetric.
     """
-
-    __slots__ = ("f", "g", "ring", "ideal", "delta")
-
-    def __init__(self, f, g, ring, ideal, delta):
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "ideal", ideal)
-        object.__setattr__(self, "delta", delta)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CubicComposition is immutable")
-
-    def sums_to_identity_with(self, h: BinaryCubic) -> bool:
-        """Whether [f] + [g] + [h] is the identity class: Q_f*Q_g*Q_h ~ 1.
-
-        The forms decide the whole triple (S, I, delta):
-        - a projective cubic has I_f^3 = delta_f*S;
-        - if Q_f*Q_g*Q_h is principal, I_f*I_g*I_h = kappa*S, so
-          delta_f*delta_g*delta_h = kappa^3*u with u a unit;
-        - at D < 0, which cubic_class_compose enforces, u is a root of
-          unity, so the product of the deltas is a cube up to one.
-        A non-projective h has an imprimitive Q_h: compose_dirichlet raises.
-        """
-        if cubic_disc(h) != self.ring.D:
-            raise InputError("discriminant mismatch")
-        qtot = compose_dirichlet(
-            compose_dirichlet(cubic_q(self.f), cubic_q(self.g)), cubic_q(h)
-        )
-        return qtot == bqf_reduce(principal_form(self.ring.D)).canonical
-
-
-def cubic_class_compose(f: BinaryCubic, g: BinaryCubic) -> CubicComposition:
-    D = cubic_disc(f)
-    if cubic_disc(g) != D:
-        raise InputError("discriminant mismatch")
-    if D >= 0:
-        raise UnsupportedDomainError(
-            "class composition of cubics is implemented for negative "
-            "discriminants only"
-        )
-    if not (is_projective(cubic_embed(f)) and is_projective(cubic_embed(g))):
-        raise InputError("cubic is not projective")
+    _composable(cubic_embed(f), cubic_embed(g))
     ring, ideal_f, delta_f = _cubic_ideal_data(f)
     _, ideal_g, delta_g = _cubic_ideal_data(g)
-    return CubicComposition(f, g, ring, ideal_f * ideal_g, delta_f * delta_g)
+    basis = (ideal_f * ideal_g).basis
+    bases = (basis, basis, [b / (delta_f * delta_g) for b in basis])
+    return _cubic_of(_triple_cube(ring, bases))
 
 
 class PairBQF:
@@ -311,10 +276,29 @@ def pair_identity(D: int) -> PairBQF:
     return F
 
 
-def pair_companion(F: PairBQF) -> PairBQF:
-    c = companion_cube(pair_embed(F)).coeffs
-    exact._ensure(c[1] == c[2] and c[5] == c[6], "pair companion is not symmetric")
+def _pair_of(A: Cube) -> PairBQF:
+    """The pair that embeds as A, a cube symmetric in j and k."""
+    c = A.coeffs
+    exact._ensure(c[1] == c[2] and c[5] == c[6], "cube is not symmetric in j and k")
     return PairBQF(BQF(c[0], 2 * c[1], c[3]), BQF(c[4], 2 * c[5], c[7]))
+
+
+def pair_companion(F: PairBQF) -> PairBQF:
+    return _pair_of(companion_cube(pair_embed(F)))
+
+
+def pair_class_compose(F: PairBQF, G: PairBQF) -> PairBQF:
+    """A pair in the class [F] + [G].
+
+    A pair's cube has equal ideals in directions 2 and 3, so its triple is
+    (I_2^-2, I_2, I_2).  With J = I_2(F) I_2(G), the triple (J^-2, J, J),
+    one basis of J in directions 2 and 3, gives a cube symmetric in j and k.
+    """
+    _composable(pair_embed(F), pair_embed(G))
+    J = cube_to_triple(pair_embed(F)).ideals[1]
+    J = J * cube_to_triple(pair_embed(G)).ideals[1]
+    bases = ((J * J).inverse().basis, J.basis, J.basis)
+    return _pair_of(_triple_cube(J.ring, bases))
 
 
 def verify_pair_composition(

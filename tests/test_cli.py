@@ -8,13 +8,28 @@ from importlib import resources
 
 import pytest
 
-from cubecomp.bqf import BQF
+from cubecomp.bqf import BQF, compose_dirichlet, reduce
 from cubecomp.cli import main
-from cubecomp.cubes import identity_cube
-from cubecomp.symspaces import BinaryCubic, cubic_identity
+from cubecomp.cubes import assoc_form, identity_cube
+from cubecomp.symspaces import (
+    BinaryCubic,
+    cubic_identity,
+    cubic_q,
+    pair_embed,
+    pair_identity,
+)
 from cubecomp.wire import dumps_envelope, parse_envelope
 from tests.test_cubes import _corrupt_alpha1
-from tests.worked_examples import CUBE_A, CUBE_B, CUBE_C
+from tests.worked_examples import (
+    CUBE_A,
+    CUBE_B,
+    CUBE_C,
+    CUBIC_F,
+    CUBIC_G,
+    CUBIC_H,
+    PAIR_F,
+    PAIR_G,
+)
 
 
 def _fixture_path(name):
@@ -92,30 +107,86 @@ def test_compose_cube(tmp_path, capsys):
     assert art["objects"][0]["role"] == "product"
 
 
-def test_compose_cubic_certificate(tmp_path, capsys):
+def _compose_product(tmp_path, capsys, space, D, objects):
+    """The one object of a successful compose run's product envelope."""
     p = tmp_path / "in.json"
-    p.write_text(
-        dumps_envelope(
-            "cubic", -23, [cubic_identity(-23), BinaryCubic(-3, -2, 0, 1)]
-        )
-    )
+    p.write_text(dumps_envelope(space, D, objects))
     code, out, err = _run(capsys, ["compose", "--in", str(p), "--json"])
-    assert code == 0
-    art = json.loads(out)["artifacts"][0]
-    assert art["ideal_basis"] == [
-        {"p": "24", "q": "0", "d": "1"},
-        {"p": "12", "q": "2", "d": "1"},
-    ]
-    assert art["delta"] == {"p": "-336", "q": "8", "d": "1"}
-    assert art["form_product"]["objects"][0]["coeffs"] == ["2", "-1", "3"]
+    assert (code, err) == (0, "")
+    (art,) = json.loads(out)["artifacts"]
+    product = parse_envelope(art)
+    assert (product.space, product.discriminant) == (space, D)
+    assert [role for role, _ in product.entries] == ["product"]
+    return product.objects[0]
 
 
-def test_compose_rejects_pair_space(tmp_path, capsys):
+def test_compose_cubic_disc_m23(tmp_path, capsys):
+    f = BinaryCubic(-3, -2, 0, 1)
+    k = _compose_product(
+        tmp_path, capsys, "cubic", -23, [cubic_identity(-23), f]
+    )
+    assert reduce(cubic_q(k)).canonical == reduce(cubic_q(f)).canonical
+
+
+def test_compose_cubic_disc_8(tmp_path, capsys):
+    # the three cubics of the worked D = 8 composition, folded left
+    fs = [CUBIC_F, CUBIC_G, CUBIC_H]
+    k = _compose_product(tmp_path, capsys, "cubic", 8, fs)
+    Qf, Qg, Qh = map(cubic_q, fs)
+    expected = compose_dirichlet(compose_dirichlet(Qf, Qg), Qh)
+    assert reduce(cubic_q(k)).canonical == expected
+
+
+def test_compose_pair_space(tmp_path, capsys):
+    G = _compose_product(tmp_path, capsys, "pair", -31, [PAIR_F, PAIR_G])
+    A, B, C = pair_embed(PAIR_F), pair_embed(PAIR_G), pair_embed(G)
+    for i in (1, 2, 3):
+        expected = compose_dirichlet(assoc_form(A, i), assoc_form(B, i))
+        assert reduce(assoc_form(C, i)).canonical == expected
+
+
+def test_compose_pair_human_line(tmp_path, capsys):
     p = tmp_path / "in.json"
-    p.write_text(open(_fixture_path("pair_disc_m31.json")).read())
+    p.write_text(dumps_envelope("pair", -31, [PAIR_F, pair_identity(-31)]))
     code, out, err = _run(capsys, ["compose", "--in", str(p)])
-    assert code == 2
+    assert code == 0
+    assert out.startswith("composed class: [[") and "]]\n" in out
+
+
+def test_compose_quat_space_is_one_line_exit_2(capsys):
+    code, out, err = _run(
+        capsys, ["compose", "--in", _fixture_path("quat_disc_m47.json")]
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert "cube space" in err
+
+
+def test_compose_square_disc_exits_3(tmp_path, capsys):
+    p = tmp_path / "in.json"
+    p.write_text(dumps_envelope("cubic", 4, [cubic_identity(4)] * 2))
+    code, out, err = _run(capsys, ["compose", "--in", str(p)])
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_corrupted_cubic_composition_exits_4(tmp_path, capsys, monkeypatch):
+    # twice delta unbalances the triple cubic_class_compose builds: the
+    # library's fault, so exit 4 and not 2
+    import cubecomp.symspaces
+
+    real = cubecomp.symspaces._cubic_ideal_data
+
+    def doubled_delta(f):
+        ring, ideal, delta = real(f)
+        return ring, ideal, 2 * delta
+
+    monkeypatch.setattr(cubecomp.symspaces, "_cubic_ideal_data", doubled_delta)
+    p = tmp_path / "in.json"
+    p.write_text(dumps_envelope("cubic", -23, [cubic_identity(-23)] * 2))
+    code, out, err = _run(capsys, ["compose", "--in", str(p)])
+    assert code == 4 and out == ""
+    assert err.count("\n") == 1 and "norms multiply to 1/16" in err
 
 
 def test_compose_rejects_disc_mismatch(tmp_path, capsys):

@@ -18,9 +18,21 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cubecomp.bqf import BQF
 from cubecomp.cli import main
-from cubecomp.symspaces import BinaryCubic, cubic_identity
+from cubecomp.cubes import identity_cube
+from cubecomp.symspaces import BinaryCubic, cubic_identity, pair_identity
 from cubecomp.wire import encode_envelope
-from tests.worked_examples import CUBE_A, CUBE_B, CUBE_C, SENARY_DISCS
+from tests.worked_examples import (
+    CUBE_A,
+    CUBE_B,
+    CUBE_C,
+    CUBIC_F,
+    CUBIC_G,
+    CUBIC_H,
+    CUBIC_R,
+    PAIR_F,
+    PAIR_G,
+    SENARY_DISCS,
+)
 
 
 def _fixture(name):
@@ -39,6 +51,11 @@ WORKED = (
             "cubic", -23, [cubic_identity(-23), BinaryCubic(-3, -2, 0, 1)]
         ),
     ),
+    (["compose"], encode_envelope("pair", -31, [PAIR_F, PAIR_G])),
+    # D > 0
+    (["compose"], encode_envelope("cubic", 8, [CUBIC_F, CUBIC_G, CUBIC_H])),
+    (["compose"], encode_envelope("cube", 8, [CUBIC_R, identity_cube(8)])),
+    (["compose"], encode_envelope("pair", 8, [pair_identity(8)] * 2)),
     (["verify", "--law", "gauss"], encode_envelope("cube", -47, [CUBE_A])),
     (["verify", "--law", "cube"], _fixture("cube_disc_m47.json")),
     (["verify", "--law", "cubic"], _fixture("cubic_disc_8.json")),

@@ -8,6 +8,7 @@ from cubecomp import cubes
 from cubecomp.bqf import (
     BQF,
     bqf_to_ideal,
+    compose_dirichlet,
     enumerate_class_group,
     ideal_class_equal,
     principal_form,
@@ -348,10 +349,23 @@ def test_compose_matches_form_table():
     assert tbl.index_of(assoc_form(Y, 1)) == tbl.table[i1][i2]
 
 
-def test_compose_positive_disc_unsupported():
+def test_compose_at_positive_disc():
+    # the D = 8 witness cube of the worked cubic composition, and its
+    # composite with the identity
     A = Cube((0, -1, -1, -1, 1, 1, 0, 2))
-    with pytest.raises(UnsupportedDomainError):
-        cube_class_compose(A, A)
+    assert cube_disc(A) == 8
+    for B in (A, identity_cube(8)):
+        C = cube_class_compose(A, B)
+        for i in (1, 2, 3):
+            expected = compose_dirichlet(assoc_form(A, i), assoc_form(B, i))
+            assert reduce(assoc_form(C, i)).canonical == expected
+
+
+def test_compose_square_disc_unsupported():
+    # D = 4, and D = 0, where the cube has no triple at all
+    for A in (Cube((-4, 0, -3, -2, -1, 0, -4, 0)), identity_cube(0)):
+        with pytest.raises(UnsupportedDomainError):
+            cube_class_compose(A, A)
 
 
 def test_dual_solver_on_worked_triple():

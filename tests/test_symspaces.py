@@ -4,9 +4,16 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cubecomp.bqf import BQF, reduce
+from cubecomp.bqf import (
+    BQF,
+    _is_square,
+    compose_dirichlet,
+    enumerate_class_group,
+    principal_form,
+    reduce,
+)
 from cubecomp.cubes import Cube, cube_disc, identity_cube, is_projective
-from cubecomp.exact import InputError, UnsupportedDomainError
+from cubecomp.exact import InputError
 from cubecomp.qring import OrientedIdeal, principal_generator
 from cubecomp.symspaces import (
     BinaryCubic,
@@ -140,10 +147,10 @@ def test_cubic_identity_embeds_to_identity_cube():
         cubic_identity(7)
 
 
-# ----- cubic class composition at discriminant -23 ------------------------
+# ----- cubic class composition ------------------------------------------
 #
 # Cl(-23) has order 3, so the identity class and either nontrivial class
-# generate every composable triple pattern worth pinning down.
+# generate every composable pattern worth pinning down.
 
 
 def test_cubic_composition_truth_table_disc_m23():
@@ -151,11 +158,13 @@ def test_cubic_composition_truth_table_disc_m23():
     f = BinaryCubic(-3, -2, 0, 1)
     ft = BinaryCubic(3, -2, 0, 1)
     assert cubic_disc(f) == cubic_disc(ft) == -23
-
-    assert cubic_class_compose(fid, f).sums_to_identity_with(ft)
-    assert cubic_class_compose(fid, fid).sums_to_identity_with(fid)
-    assert cubic_class_compose(f, f).sums_to_identity_with(f)
-    assert not cubic_class_compose(fid, fid).sums_to_identity_with(f)
+    tbl = enumerate_class_group(-23)
+    cubics = (fid, f, ft)
+    classes = [tbl.index_of(cubic_q(x)) for x in cubics]
+    assert len(set(classes)) == 3
+    for x, i in zip(cubics, classes):
+        for y, j in zip(cubics, classes):
+            assert tbl.index_of(cubic_q(cubic_class_compose(x, y))) == tbl.table[i][j]
 
 
 def _projective_cubics(bound):
@@ -170,59 +179,89 @@ def _projective_cubics(bound):
     return by_disc
 
 
+def _unit_cubes(ring):
+    """The cubes of the units of S(D), D < 0: the units are the elements of
+    norm 1, and all of them have coordinates in [-1, 1]."""
+    units = (ring.element(p, q) for p in (-1, 0, 1) for q in (-1, 0, 1))
+    return [u**3 for u in units if u.norm() == 1]
+
+
+def _assert_sum_in_bhargavas_group(data_f, data_g, k):
+    """k = f + g exactly in Bhargava's group of pairs (I, delta) with
+    I^3 = delta S up to (kappa I, kappa^3 delta): I_k = kappa I_f I_g, and
+    delta_k = kappa^3 delta_f delta_g up to the cube of a unit, which is
+    all the freedom kappa has."""
+    ring, ideal_k, delta_k = _cubic_ideal_data(k)
+    (_, ideal_f, delta_f), (_, ideal_g, delta_g) = data_f, data_g
+    kappa = principal_generator(ideal_k * (ideal_f * ideal_g).inverse())
+    assert kappa is not None
+    assert delta_k / (kappa**3 * delta_f * delta_g) in _unit_cubes(ring)
+
+
 @pytest.mark.parametrize("D", [-3, -4])
 def test_cubic_composition_truth_table_class_number_one(D):
     # h = 1, and the unit groups are the largest there are (6 and 4 roots
-    # of unity): every triple closes
-    cubics = _projective_cubics(1)[D]
+    # of unity), so delta is where a composition could go wrong: at D = -3
+    # a unit outside the cubes {+1, -1} would change the class.  Every pair
+    # of projective cubics in [-2, 2]^4 (12 at D = -3, 28 at D = -4); the
+    # order does not matter, since f + g and g + f are built from the same
+    # Hermite basis and the same delta
+    cubics = _projective_cubics(2)[D]
     assert cubic_identity(D) in cubics
-    for f, g in itertools.product(cubics, repeat=2):
-        comp = cubic_class_compose(f, g)
-        assert all(comp.sums_to_identity_with(h) for h in cubics)
+    assert len(cubics) == {-3: 12, -4: 28}[D]
+    data = {f: _cubic_ideal_data(f) for f in cubics}
+    for f, g in itertools.combinations_with_replacement(cubics, 2):
+        _assert_sum_in_bhargavas_group(data[f], data[g], cubic_class_compose(f, g))
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)
 @given(st.tuples(*(st.integers(-12, 12) for _ in range(4))))
 def test_projective_cubic_ideal_cubes_to_delta(coeffs):
-    # I_f^3 = delta_f * S, the premise that lets the forms alone decide
-    # closure in sums_to_identity_with
+    # I_f^3 = delta_f * S, so (I, I, delta^-1 I) is the balanced triple
+    # cubic_class_compose builds, at either sign of D
     f = BinaryCubic(*coeffs)
-    assume(cubic_disc(f) < 0 and is_projective(cubic_embed(f)))
+    D = cubic_disc(f)
+    assume(not _is_square(D) and is_projective(cubic_embed(f)))
     ring, I, delta = _cubic_ideal_data(f)
     assert (I * I * I).same_module(OrientedIdeal.unit_ideal(ring).scale(delta))
 
 
 def test_cubic_closure_matches_ideal_oracle():
-    # the ideal product I_f I_g I_h is principal exactly when the forms say
-    # the triple closes; the oracle shares no code with the forms
+    # composition closes f + g + h to the identity class exactly when the
+    # ideal product I_f I_g I_h is principal; the oracle shares no code with
+    # the composition.  f + g is also checked in Bhargava's group.
     by_disc = _projective_cubics(3)
-    discs = sorted(D for D, fs in by_disc.items() if len(fs) >= 3)
+    discs = sorted(D for D, fs in by_disc.items() if len(fs) >= 3 and D < -4)
     rng = random.Random(2323)
     closed = 0
-    for _ in range(400):
-        fs = by_disc[rng.choice(discs)]
-        f, g, h = (rng.choice(fs) for _ in range(3))
-        comp = cubic_class_compose(f, g)
-        ideal_h = _cubic_ideal_data(h)[1]
-        expected = principal_generator(comp.ideal * ideal_h) is not None
-        assert comp.sums_to_identity_with(h) == expected
+    for _ in range(150):
+        D = rng.choice(discs)
+        f, g, h = (rng.choice(by_disc[D]) for _ in range(3))
+        data_f, data_g = _cubic_ideal_data(f), _cubic_ideal_data(g)
+        k = cubic_class_compose(f, g)
+        _assert_sum_in_bhargavas_group(data_f, data_g, k)
+        total = reduce(cubic_q(cubic_class_compose(k, h))).canonical
+        ideal = data_f[1] * data_g[1] * _cubic_ideal_data(h)[1]
+        expected = principal_generator(ideal) is not None
+        assert (total == reduce(principal_form(D)).canonical) == expected
         closed += expected
-    assert 0 < closed < 400
+    assert 0 < closed < 150
 
 
-def test_cubic_composition_certificate_shape():
+def test_cubic_composition_returns_a_cubic():
     fid = cubic_identity(-23)
     f = BinaryCubic(-3, -2, 0, 1)
-    comp = cubic_class_compose(fid, f)
-    assert comp.ring.D == -23
-    assert comp.ideal.norm() ** 3 == comp.delta.norm()
-    q = reduce(BQF(*cubic_q(fid).coeffs())).canonical
-    assert q.disc() == -23
+    k = cubic_class_compose(fid, f)
+    assert isinstance(k, BinaryCubic)
+    assert cubic_disc(k) == -23 and is_projective(cubic_embed(k))
+    assert reduce(cubic_q(k)).canonical == reduce(cubic_q(f)).canonical
 
 
-def test_cubic_composition_rejects_positive_disc():
-    with pytest.raises(UnsupportedDomainError):
-        cubic_class_compose(CUBIC_F, CUBIC_G)
+def test_cubic_composition_at_positive_disc():
+    # the twisted D = 8 cubics of the worked cubic composition
+    k = cubic_class_compose(CUBIC_F, CUBIC_G)
+    assert cubic_disc(k) == 8 and is_projective(cubic_embed(k))
+    assert reduce(cubic_q(k)).canonical == compose_dirichlet(CUBIC_QF, CUBIC_QG)
 
 
 def test_cubic_composition_rejects_imprimitive():
