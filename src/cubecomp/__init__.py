@@ -13,8 +13,6 @@ from .exact import (
     BINARY_POINTS,
     InputError,
     InternalError,
-    MultiForm,
-    Poly,
     UnsupportedDomainError,
     VerifyResult,
     lagrange_gauss_reduce,
@@ -52,7 +50,6 @@ from .cubes import (
     cube_to_triple,
     cube_variants,
     dual_cubes_solve,
-    form_product,
     gamma_act,
     identity_cube,
     is_projective,
@@ -83,7 +80,6 @@ from .symspaces import (
 from .altforms import (
     QuatAltPair,
     SenaryAlt3,
-    pair_form_product,
     pair_pfaffian_form,
     pfaffian,
     phi,

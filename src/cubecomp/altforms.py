@@ -27,7 +27,7 @@ from .cubes import (
     slices,
 )
 from . import exact
-from .exact import InputError, MultiForm, VerifyResult, verify_at_points
+from .exact import InputError, VerifyResult, verify_at_points
 from .qring import QuadraticRing
 
 
@@ -55,14 +55,6 @@ class QuatAltPair:
 
     def __setattr__(self, name, value):
         raise AttributeError("QuatAltPair is immutable")
-
-    def avatar(self) -> MultiForm:
-        """The trilinear form x1 * yF1z + x2 * yF2z, dims (2, 4, 4)."""
-        coeffs = []
-        for m in (self.f1, self.f2):
-            for row in m:
-                coeffs.extend(row)
-        return MultiForm((2, 4, 4), coeffs)
 
     def __eq__(self, other):
         return (
@@ -118,10 +110,6 @@ def pair_pfaffian_form(P: QuatAltPair) -> BQF:
     return BQF(p, q, c)
 
 
-def quat_disc(P: QuatAltPair) -> int:
-    return pair_pfaffian_form(P).disc()
-
-
 def quat_companion(P: QuatAltPair) -> QuatAltPair:
     """Companion pair via the first-slot substitution built from the
     Pfaffian form, mirroring the cube companion's slice recipe."""
@@ -140,18 +128,10 @@ def quat_companion(P: QuatAltPair) -> QuatAltPair:
     return QuatAltPair(f1, f2)
 
 
-def pair_form_product(P: QuatAltPair, Q: QuatAltPair) -> MultiForm:
-    """P x Q' + P' x Q + eps P x Q as a (2,4,4,2,4,4) tensor."""
-    d = quat_disc(P)
-    if quat_disc(Q) != d:
-        raise InputError("discriminant mismatch")
-    eps = d % 4
-    a, b = P.avatar(), Q.avatar()
-    ac, bc = quat_companion(P).avatar(), quat_companion(Q).avatar()
-    out = a.tensor(bc) + ac.tensor(b)
-    if eps:
-        out = out + a.tensor(b)
-    return out
+def _flat(P: QuatAltPair):
+    """The 32 coefficients of the trilinear form x1 yF1z + x2 yF2z, entry
+    (x, y, z) at 16 x + 4 y + z."""
+    return tuple(t for m in (P.f1, P.f2) for row in m for t in row)
 
 
 def verify_quaternary_composition(
@@ -165,15 +145,21 @@ def verify_quaternary_composition(
     vectors (complete on the 2*4*4*2*4*4 = 1024 basis tuples of the
     product form, both sides being multilinear in the six vector slots),
     Q1(R) = Q1(A) with Q2(R) = Q1(B), the three corner product equations,
-    and equal discriminants.
+    and equal discriminants.  At a basis tuple the left side
+    G H' + G' H + eps G H is g h' + g' h + eps g h in the coefficients
+    g = g_xyz, h = h_uvw of G, H and their quat_companions.
     """
     if A.coeffs[1] != A.coeffs[2] or A.coeffs[5] != A.coeffs[6]:
         raise InputError("first cube must be doubly symmetric")
     reasons = _witness_reasons("ABCRST", (A, B, C, R, S, T))
-    if cube_disc(B) != cube_disc(C):
+    D = cube_disc(B)
+    if cube_disc(C) != D:
         # the product form is undefined across discriminants
         return VerifyResult(False, reasons)
-    lhs_coeffs = pair_form_product(phi(B), phi(C)).coeffs
+    eps = D % 4
+    G, H = phi(B), phi(C)
+    g, h = _flat(G), _flat(H)
+    gp, hp = _flat(quat_companion(G)), _flat(quat_companion(H))
     rp, sp, tp = _basis_pairs(R), _basis_pairs(S), _basis_pairs(T)
     # F's 4-vector slots take (S(y1, v1) + T(y2, v2), S(y1, w1) + T(y2, w2))
     # for y = (y1, y2); on basis vectors at most one of the terms survives
@@ -181,7 +167,8 @@ def verify_quaternary_composition(
     half = [row + zero for row in sp] + [zero + row for row in tp]
 
     def lhs(x, y, z, u, v, w):
-        return lhs_coeffs[((((x * 4 + y) * 4 + z) * 2 + u) * 4 + v) * 4 + w]
+        i, j = 16 * x + 4 * y + z, 16 * u + 4 * v + w
+        return g[i] * hp[j] + gp[i] * h[j] + eps * g[i] * h[j]
 
     def rhs(x, y, z, u, v, w):
         # phi(A)(rho, (a1, a2), (b1, b2)) = A(rho, a1, b2) - A(rho, b1, a2)

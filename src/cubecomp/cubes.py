@@ -4,9 +4,10 @@ A cube stores eight coefficients [a111, a112, a121, a122, a211, a212, a221,
 a222]; slicing along the three directions yields matrix pairs (M_i, N_i)
 whose characteristic binary forms Q_i share one discriminant.  The module
 covers the group-action plumbing (slices, associated forms, involutions,
-companions, form products), exact verification of the three-cube composition
-identity, the dictionary between cubes and balanced triples of oriented
-ideals, and the dual-cube solver built on that dictionary.
+slot substitution, companions), exact verification of the three-cube
+composition identity, the dictionary between cubes and balanced triples of
+oriented ideals, and the dual-cube solver built on that dictionary.  All of
+it works on the eight coefficients, index 4i + 2j + k.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from .bqf import BQF, GaussBilinearData, _is_square, ideal_to_bqf
 from .bqf import verify_gauss_identity
 from . import exact
-from .exact import BINARY_POINTS, InputError, MultiForm, UnsupportedDomainError
+from .exact import BINARY_POINTS, InputError, UnsupportedDomainError
 from .exact import VerifyResult, verify_at_points
 from .qring import KElem, OrientedIdeal, QuadraticRing, principal_generator
 
@@ -36,9 +37,6 @@ class Cube:
     def coeff(self, i: int, j: int, k: int) -> int:
         """Entry a_{(i+1)(j+1)(k+1)} for 0-based i, j, k."""
         return self.coeffs[4 * i + 2 * j + k]
-
-    def trilinear(self) -> MultiForm:
-        return MultiForm((2, 2, 2), self.coeffs)
 
     def __eq__(self, other):
         return isinstance(other, Cube) and self.coeffs == other.coeffs
@@ -99,20 +97,39 @@ def is_projective(A: Cube) -> bool:
     return all(Q.is_primitive() for Q in assoc_forms(A))
 
 
+def _substitute(coeffs, slot: int, m):
+    """The eight coefficients of the trilinear form with the 2x2 matrix m
+    substituted into one slot: g(..., v, ...) = f(..., m v, ...) there.
+
+    The slot's index moves the flat index 4i + 2j + k by 4 >> slot, so each
+    pair (lo, hi) of entries that differ only in that slot becomes
+    (lo m00 + hi m10, lo m01 + hi m11).
+    """
+    (m00, m01), (m10, m11) = m
+    step = 4 >> slot
+    out = list(coeffs)
+    for n in range(8):
+        if not n & step:
+            lo, hi = coeffs[n], coeffs[n + step]
+            out[n] = lo * m00 + hi * m10
+            out[n + step] = lo * m01 + hi * m11
+    return tuple(out)
+
+
 def gamma_act(A: Cube, g1, g2, g3) -> Cube:
     """Simultaneous SL2 changes, one per direction.
 
     Acting by g = (p, q; r, s) on direction i replaces the slice pair
-    (M_i, N_i) by (p M_i + q N_i, r M_i + s N_i), which on the trilinear
-    form is substitution of g-transpose into that slot.
+    (M_i, N_i) by (p M_i + q N_i, r M_i + s N_i): _substitute of
+    g-transpose into slot i.
     """
-    f = A.trilinear()
+    c = A.coeffs
     for slot, g in enumerate((g1, g2, g3)):
         (p, q), (r, s) = ((exact._as_int(t) for t in row) for row in g)
         if p * s - q * r != 1:
             raise InputError("matrix must have determinant 1")
-        f = f.substitute(slot, ((p, r), (q, s)))
-    return Cube(f.coeffs)
+        c = _substitute(c, slot, ((p, r), (q, s)))
+    return Cube(c)
 
 
 def cube_variants(A: Cube):
@@ -151,27 +168,11 @@ def companion_cube(A: Cube) -> Cube:
     Substituting L_i into slot i must give the same answer for all three
     directions; that agreement is asserted here every time.
     """
-    L1, L2, L3 = companion_L(A)
-    f = A.trilinear()
-    via1 = f.substitute(0, L1)
-    via2 = f.substitute(1, L2)
-    via3 = f.substitute(2, L3)
+    via1, via2, via3 = (
+        _substitute(A.coeffs, slot, L) for slot, L in enumerate(companion_L(A))
+    )
     exact._ensure(via1 == via2 == via3, "companion construction disagrees across slots")
-    return Cube(via1.coeffs)
-
-
-def form_product(A: Cube, B: Cube) -> MultiForm:
-    """(A*B)(x,y,z;u,v,w) = A B' + A' B + eps A B over disjoint variables."""
-    D = cube_disc(A)
-    if cube_disc(B) != D:
-        raise InputError("discriminant mismatch")
-    eps = D % 4
-    fa, fb = A.trilinear(), B.trilinear()
-    fa2, fb2 = companion_cube(A).trilinear(), companion_cube(B).trilinear()
-    out = fa.tensor(fb2) + fa2.tensor(fb)
-    if eps:
-        out = out + fa.tensor(fb).scale(eps)
-    return out
+    return Cube(via1)
 
 
 def lemmermeyer_identity(A: Cube):
@@ -245,19 +246,24 @@ def verify_cube_composition(
     (B*C)(x,y,z;u,v,w) = A(R-sigma(x,u), S-sigma(y,v), T-sigma(z,w)) on all
     2^6 = 64 basis tuples (complete, by multilinearity), the form matches
     Q1(R) = Q1(A) and Q2(R) = Q1(B), the three corner product equations, and
-    equality of all six discriminants.
+    equality of all six discriminants.  At a basis tuple the left side
+    B C' + B' C + eps B C is b c' + b' c + eps b c in the coefficients
+    b = b_xyz, c = c_uvw of B, C and their companions.
     """
     reasons = _witness_reasons("ABCRST", (A, B, C, R, S, T))
-    if cube_disc(B) != cube_disc(C):
+    D = cube_disc(B)
+    if cube_disc(C) != D:
         # the product form is undefined across discriminants; the disc
         # reasons recorded above already carry the verdict
         return VerifyResult(False, reasons)
-    # the left side is read straight off the product form's coefficients
-    lhs_coeffs = form_product(B, C).coeffs
+    eps = D % 4
+    b, c = B.coeffs, C.coeffs
+    bp, cp = companion_cube(B).coeffs, companion_cube(C).coeffs
     rp, sp, tp = _basis_pairs(R), _basis_pairs(S), _basis_pairs(T)
 
     def lhs(x, y, z, u, v, w):
-        return lhs_coeffs[32 * x + 16 * y + 8 * z + 4 * u + 2 * v + w]
+        i, j = 4 * x + 2 * y + z, 4 * u + 2 * v + w
+        return b[i] * cp[j] + bp[i] * c[j] + eps * b[i] * c[j]
 
     def rhs(x, y, z, u, v, w):
         r0, r1 = rp[x][u]

@@ -6,9 +6,13 @@ else is an InputError.  It, the correctness check _ensure (InternalError,
 which python -O cannot strip) and the shared helpers _bezout and _mat_mul
 are called as ``exact._name``, so the benchmark tracer, which spans every
 function one module imports from another by name, leaves them out.  On top
-sit dense multilinear forms, sparse integer polynomials (the tests' oracle),
-the point-evaluation engine every composition-law verifier runs on, and
+sit the point-evaluation engine every composition-law verifier runs on and
 Lagrange-Gauss reduction of rank-2 lattices.  No floating point anywhere.
+
+MultiForm (dense multilinear forms) and Poly (sparse integer polynomials)
+are the tests' reference constructions: no other module uses them, since
+every form space works on its coefficient tuples.  They stay here because
+the benchmark tracer wraps both classes and their methods by name.
 """
 
 from __future__ import annotations

@@ -7,7 +7,6 @@ from cubecomp.altforms import (
     QuatAltPair,
     SenaryAlt3,
     quat_companion,
-    quat_disc,
     pair_pfaffian_form,
     pfaffian,
     phi,
@@ -24,7 +23,7 @@ from cubecomp.cubes import (
     cube_disc,
     identity_cube,
 )
-from cubecomp.exact import InputError
+from cubecomp.exact import InputError, MultiForm
 from tests.worked_examples import (
     QUAT_A,
     QUAT_A_COMP,
@@ -103,8 +102,9 @@ def test_pfaffian_of_symplectic_block():
 
 def test_phi_is_partial_skew_symmetrization():
     A = QUAT_A
-    av = phi(A).avatar()
-    f = A.trilinear()
+    P = phi(A)
+    av = MultiForm((2, 4, 4), [t for m in (P.f1, P.f2) for row in m for t in row])
+    f = MultiForm((2, 2, 2), A.coeffs)
     for x, y, z in itertools.product(range(2), range(4), range(4)):
         ex, ey, ez = _basis(2, x), _basis(4, y), _basis(4, z)
         left = av.eval((ex, ey, ez))
@@ -117,7 +117,7 @@ def test_pair_pfaffian_form_recovers_q1():
     for _ in range(60):
         A = Cube(tuple(rng.randint(-9, 9) for _ in range(8)))
         assert pair_pfaffian_form(phi(A)) == assoc_form(A, 1)
-        assert quat_disc(phi(A)) == cube_disc(A)
+        assert pair_pfaffian_form(phi(A)).disc() == cube_disc(A)
 
 
 def test_pair_companion_intertwines_with_cube_companion():

@@ -34,7 +34,12 @@ from cubecomp.cubes import (
     triple_to_cube,
     verify_cube_composition,
 )
-from cubecomp.exact import InputError, InternalError, UnsupportedDomainError
+from cubecomp.exact import (
+    InputError,
+    InternalError,
+    MultiForm,
+    UnsupportedDomainError,
+)
 from cubecomp.qring import KElem, OrientedIdeal, QuadraticRing
 from tests.worked_examples import (
     CUBE_A,
@@ -110,6 +115,34 @@ def test_gamma_action_preserves_disc_and_form_classes():
         checked += 1
 
 
+big = st.integers(-(10**30), 10**30)
+# SL2 matrices (1 + st, s; t, 1) with entries up to about 10^18
+big_sl2 = st.builds(
+    lambda s, t: ((1 + s * t, s), (t, 1)),
+    st.integers(-(10**9), 10**9),
+    st.integers(-(10**9), 10**9),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(
+    st.lists(st.one_of(st.integers(-9, 9), big), min_size=8, max_size=8),
+    st.tuples(big_sl2, big_sl2, big_sl2),
+)
+def test_slot_substitution_matches_multiform(coeffs, gs):
+    # gamma_act and companion_cube against MultiForm.substitute, the
+    # general-tensor construction, on coefficients up to 10^30
+    A = Cube(coeffs)
+    f = MultiForm((2, 2, 2), coeffs)
+    for slot, ((p, q), (r, s)) in enumerate(gs):
+        f = f.substitute(slot, ((p, r), (q, s)))
+    assert gamma_act(A, *gs) == Cube(f.coeffs)
+    f = MultiForm((2, 2, 2), coeffs)
+    via = [f.substitute(slot, L).coeffs for slot, L in enumerate(companion_L(A))]
+    assert via[0] == via[1] == via[2]
+    assert companion_cube(A) == Cube(via[0])
+
+
 def test_variant_involutions():
     rng = random.Random(33)
     for _ in range(30):
@@ -137,8 +170,8 @@ def test_companion_interplay_with_l_matrices():
             continue
         eps = D % 4
         m = (D - eps) // 4
-        fa = A.trilinear()
-        fap = companion_cube(A).trilinear()
+        fa = MultiForm((2, 2, 2), A.coeffs)
+        fap = MultiForm((2, 2, 2), companion_cube(A).coeffs)
         rhs = fa.scale(m)
         for slot, L in enumerate(companion_L(A)):
             lhs = fap.substitute(slot, L)

@@ -150,16 +150,19 @@ def test_library_code_has_no_assert_statements():
     assert found == []
 
 
-def test_only_exact_and_the_package_root_reference_poly():
-    # every verifier runs on verify_at_points; Poly is the tests' oracle
+def test_only_exact_names_poly_and_multiform():
+    # every verifier runs on verify_at_points and every cube on its eight
+    # coefficients; Poly and MultiForm are the tests' reference, and no
+    # other module, the package root included, names either
     src = Path(cubecomp.__file__).parent
     found = {
-        path.name
+        (path.name, name)
         for path in src.glob("*.py")
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if (isinstance(node, ast.Name) and node.id == "Poly")
-        or (isinstance(node, ast.Attribute) and node.attr == "Poly")
-        or (isinstance(node, ast.alias) and node.name == "Poly")
+        for name in ("Poly", "MultiForm")
+        if (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.alias) and node.name == name)
     }
-    assert "exact.py" in found
-    assert found <= {"exact.py", "__init__.py"}
+    assert {("exact.py", "Poly"), ("exact.py", "MultiForm")} <= found
+    assert {path for path, _ in found} == {"exact.py"}

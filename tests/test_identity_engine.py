@@ -6,6 +6,7 @@ true instances and on perturbed ones.
 """
 
 import re
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 from cubecomp import altforms
 from cubecomp.altforms import (
     SenaryAlt3,
+    phi,
     senary_eval,
+    verify_quaternary_composition,
     verify_senary_identity,
     wedge222,
 )
@@ -22,11 +25,20 @@ from cubecomp.cli import main
 from cubecomp.cubes import (
     Cube,
     _bilinear_pair,
+    companion_cube,
+    cube_disc,
     cube_variants,
     identity_cube,
     lemmermeyer_identity,
+    verify_cube_composition,
 )
-from cubecomp.exact import BINARY_POINTS, InternalError, Poly, verify_at_points
+from cubecomp.exact import (
+    BINARY_POINTS,
+    InternalError,
+    MultiForm,
+    Poly,
+    verify_at_points,
+)
 from cubecomp.symspaces import (
     BinaryCubic,
     PairBQF,
@@ -42,6 +54,12 @@ from cubecomp.symspaces import (
     verify_pair_composition,
 )
 from tests.worked_examples import (
+    CUBE_A,
+    CUBE_B,
+    CUBE_C,
+    CUBE_R,
+    CUBE_S,
+    CUBE_T,
     CUBIC_F,
     CUBIC_G,
     CUBIC_H,
@@ -51,6 +69,12 @@ from tests.worked_examples import (
     PAIR_H,
     PAIR_R,
     PAIR_S,
+    QUAT_A,
+    QUAT_B,
+    QUAT_C,
+    QUAT_R,
+    QUAT_S,
+    QUAT_T,
 )
 
 EXAMPLES = settings(
@@ -99,7 +123,7 @@ sl2 = st.builds(
 
 def _substituted(X: Cube, mats) -> Cube:
     """X with mats[i] substituted into slot i, where it is not None."""
-    f = X.trilinear()
+    f = MultiForm((2, 2, 2), X.coeffs)
     for slot, m in enumerate(mats):
         if m is not None:
             f = f.substitute(slot, m)
@@ -202,6 +226,146 @@ def test_perturbed_syzygy_sides_match_expansion(f, pos, delta, perturb):
         left, lambda p: q(p[0], -p[1]) ** 3, (BINARY_POINTS,), "((x, y),)"
     )
     assert res.ok == (lhs == rhs)
+
+
+# ----- cube and quat ---------------------------------------------------------
+
+
+def _trilinear_poly(coeffs, a, b, c):
+    """sum of coeffs[n] a_i b_j c_k, n running over (i, j, k) row-major."""
+    idx = product(range(len(a)), range(len(b)), range(len(c)))
+    return sum(
+        (t * a[i] * b[j] * c[k] for t, (i, j, k) in zip(coeffs, idx) if t),
+        Poly(a[0].nvars),
+    )
+
+
+TUPLE_FAILURE = re.compile(
+    r"identity fails at basis tuple \(x,y,z,u,v,w\)=\(([\d, ]+)\): "
+    r"-?\d+ != -?\d+"
+)
+
+
+def _check_against_expansion(res, lhs, rhs, dims):
+    """The engine's identity verdict is polynomial equality, and a failure
+    names the first basis tuple, in row-major order, where the two
+    six-slot multilinear expansions differ: the least tuple of slot
+    indices among the monomials of lhs - rhs."""
+    diff = (lhs - rhs).terms
+    fails = [r for r in res.reasons if r.startswith("identity fails")]
+    assert (not fails) == (not diff)
+    if diff:
+        offsets = [sum(dims[:n]) for n in range(len(dims))]
+        first = min(
+            tuple(e[o : o + d].index(1) for o, d in zip(offsets, dims))
+            for e in diff
+        )
+        (reason,) = fails
+        match = TUPLE_FAILURE.fullmatch(reason)
+        assert match
+        assert tuple(map(int, match.group(1).split(", "))) == first
+
+
+def _moved_law(draw, objs, a_positions):
+    """A worked cube-shaped composition (A, B, C, R, S, T) with one slot of
+    B or C moved by SL2, moving the witness that slot feeds with it, half
+    of them then with one coefficient of a cube moved (A only at
+    a_positions, B, C and the witnesses anywhere)."""
+    objs = list(objs)
+    side, slot, m = draw(st.integers(1, 2)), draw(st.integers(0, 2)), draw(sl2)
+    mats = [None] * 3
+    mats[slot] = m
+    objs[side] = _substituted(objs[side], mats)
+    # B's slot feeds its witness's slot 1, C's its slot 2
+    mats = [None] * 3
+    mats[side] = m
+    objs[3 + slot] = _moved_witness(objs[3 + slot], mats)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 5))
+        pos = draw(st.sampled_from(a_positions if k == 0 else range(8)))
+        objs[k] = Cube(_bump(objs[k].coeffs, pos, draw(nonzero_delta)))
+    return objs
+
+
+@st.composite
+def cube_instances(draw):
+    """The worked composition at discriminant -47, moved and perturbed."""
+    return _moved_law(
+        draw, (CUBE_A, CUBE_B, CUBE_C, CUBE_R, CUBE_S, CUBE_T), range(8)
+    )
+
+
+@st.composite
+def quat_instances(draw):
+    """The worked quaternary composition at -47, moved and perturbed; A
+    is moved off its doubly symmetric positions only."""
+    return _moved_law(
+        draw, (QUAT_A, QUAT_B, QUAT_C, QUAT_R, QUAT_S, QUAT_T), (0, 3, 4, 7)
+    )
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(cube_instances())
+def test_cube_engine_matches_expansion(inst):
+    A, B, C, R, S, T = inst
+    res = verify_cube_composition(A, B, C, R, S, T)
+    if cube_disc(B) != cube_disc(C):
+        # no product form across discriminants, so no identity to check
+        assert not res.ok and _identity_holds(res)
+        return
+    V = Poly.variables(12)
+    x, y, z, u, v, w = (V[n : n + 2] for n in range(0, 12, 2))
+    eps = cube_disc(B) % 4
+    bp = _trilinear_poly(B.coeffs, x, y, z)
+    cp = _trilinear_poly(C.coeffs, u, v, w)
+    bcp = _trilinear_poly(companion_cube(B).coeffs, x, y, z)
+    ccp = _trilinear_poly(companion_cube(C).coeffs, u, v, w)
+    lhs = bp * ccp + bcp * cp + eps * bp * cp
+    rhs = _trilinear_poly(
+        A.coeffs,
+        _sigma_pair_poly(R, x, u),
+        _sigma_pair_poly(S, y, v),
+        _sigma_pair_poly(T, z, w),
+    )
+    _check_against_expansion(res, lhs, rhs, (2,) * 6)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(quat_instances())
+def test_quat_engine_matches_expansion(inst):
+    A, B, C, R, S, T = inst
+    res = verify_quaternary_composition(A, B, C, R, S, T)
+    if cube_disc(B) != cube_disc(C):
+        assert not res.ok and _identity_holds(res)
+        return
+    V = Poly.variables(20)
+    x, y, z, u, v, w = V[0:2], V[2:6], V[6:10], V[10:12], V[12:16], V[16:20]
+    eps = cube_disc(B) % 4
+
+    def alt(X, a, b, c):
+        # phi(X) as the trilinear form x1 yF1z + x2 yF2z
+        P = phi(X)
+        flat = [t for m in (P.f1, P.f2) for row in m for t in row]
+        return _trilinear_poly(flat, a, b, c)
+
+    gp, hp = alt(B, x, y, z), alt(C, u, v, w)
+    gcp = alt(companion_cube(B), x, y, z)
+    hcp = alt(companion_cube(C), u, v, w)
+    lhs = gp * hcp + gcp * hp + eps * gp * hp
+
+    def column(a, b):
+        # S-sigma(a1, b1) + T-sigma(a2, b2) for a = (a1, a2), b = (b1, b2)
+        s = _sigma_pair_poly(S, a[:2], b[:2])
+        t = _sigma_pair_poly(T, a[2:], b[2:])
+        return [p + q for p, q in zip(s, t)]
+
+    rhs = alt(
+        A,
+        _sigma_pair_poly(R, x, u),
+        column(y, v) + column(y, w),
+        column(z, v) + column(z, w),
+    )
+    _check_against_expansion(res, lhs, rhs, (2, 4, 4, 2, 4, 4))
 
 
 # ----- cubic ----------------------------------------------------------------
