@@ -15,14 +15,12 @@ from .exact import (
     InternalError,
     UnsupportedDomainError,
     VerifyResult,
-    lagrange_gauss_reduce,
     verify_at_points,
 )
 from .qring import (
     KElem,
     OrientedIdeal,
     QuadraticRing,
-    principal_generator,
 )
 from .bqf import (
     BQF,
@@ -34,6 +32,7 @@ from .bqf import (
     ideal_class_equal,
     ideal_to_bqf,
     principal_form,
+    principal_generator,
     reduce,
     sl2_act,
     verify_gauss_identity,

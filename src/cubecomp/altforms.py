@@ -270,8 +270,6 @@ def senary_identity_pair(D: int):
     assemble the identity form (cross-checked against the wedge image of
     the identity cube) and the rational parts its companion.
     """
-    if D == 0:
-        raise InputError("discriminant must be nonzero")
     ring = QuadraticRing(D)
     one, tau = ring.one(), ring.tau()
     zero = ring.zero()

@@ -1,6 +1,6 @@
 """Binary quadratic forms: SL2-action, reduction, Dirichlet composition,
-class-group enumeration, the dictionary with oriented ideals, and exact
-verification of Gauss composition identities.
+class-group enumeration, the dictionary with oriented ideals, principality
+of oriented ideals, and exact verification of Gauss composition identities.
 
 A form [a, b, c] means a*x^2 + b*x*y + c*y^2.  For D < 0 the classes come in
 (positive definite, negative definite) mirror pairs, which is what makes the
@@ -454,3 +454,22 @@ def ideal_class_equal(I: OrientedIdeal, J: OrientedIdeal) -> bool:
     QI = ideal_to_bqf(I)
     QJ = ideal_to_bqf(J)
     return reduce(QI).canonical == reduce(QJ).canonical
+
+
+def principal_generator(I: OrientedIdeal):
+    """kappa with I = kappa*S as oriented ideals, or None.
+
+    I is principal exactly when its norm form Q reduces to the canonical
+    form of the principal class, so this works at any nonsquare
+    discriminant.  Then Q^M = principal_form(D) for M = r.transform times
+    r0.transform^-1, and Q takes the value 1 at M's first column (x, y): the
+    element kappa = x*b1 - y*b2 of I has N(kappa) = N(I), sign included.
+    """
+    r = reduce(ideal_to_bqf(I))
+    r0 = reduce(principal_form(I.ring.D))
+    if r.canonical != r0.canonical:
+        return None
+    (p, q), (s, t) = r0.transform
+    (x, _), (y, _) = exact._mat_mul(r.transform, ((t, -q), (-s, p)))
+    b1, b2 = I.basis
+    return b1 * x - b2 * y

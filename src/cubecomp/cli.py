@@ -6,8 +6,9 @@ same space.  Every run prints a report (human text by default, a JSON
 document with --json) carrying the verdict, the reasons for any failure, the
 computed artifacts, and the wall time.  Exit codes: 0 for verified or
 composed, 1 when a verification comes back false, 2 for malformed input, 3
-for a domain the exact routines do not cover, 4 when one of the library's
-own correctness checks fails or the library crashes.
+for a square discriminant (0 included), which the routines that reduce
+forms do not cover, 4 when one of the library's own correctness checks
+fails or the library crashes.
 """
 
 from __future__ import annotations

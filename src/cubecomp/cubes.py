@@ -13,11 +13,11 @@ it works on the eight coefficients, index 4i + 2j + k.
 from __future__ import annotations
 
 from .bqf import BQF, GaussBilinearData, _is_square, ideal_to_bqf
-from .bqf import verify_gauss_identity
+from .bqf import principal_generator, verify_gauss_identity
 from . import exact
 from .exact import BINARY_POINTS, InputError, UnsupportedDomainError
 from .exact import VerifyResult, verify_at_points
-from .qring import KElem, OrientedIdeal, QuadraticRing, principal_generator
+from .qring import KElem, OrientedIdeal, QuadraticRing
 
 
 class Cube:
@@ -464,20 +464,16 @@ def dual_cubes_solve(A: Cube, B: Cube, C: Cube) -> DualWitness:
 
     Route: take the balanced triple of each input, multiply the direction-m
     ideals across the inputs, extract a generator of each product (it must
-    be principal and positively oriented; its norm form is the composite of
-    the three Q_m, so this is the one composability check),
-    normalize the three generators so their product is exactly 1,
-    rescale the first input's bases, regroup direction by direction, and
-    read off the cubes.  Duality of the output against the inputs' forms is
-    asserted on the nose.
+    be narrowly principal; its norm form is the composite of the three Q_m,
+    so this is the one composability check), normalize the three generators
+    so their product is exactly 1 (they multiply to a unit of norm 1, at
+    D > 0 possibly a power of the fundamental unit), rescale the first
+    input's bases, regroup direction by direction, and read off the cubes.
+    Duality of the output against the inputs' forms is asserted on the
+    nose.  Runs at every nonsquare D.
     """
-    D = cube_disc(A)
-    if cube_disc(B) != D or cube_disc(C) != D:
-        raise InputError("discriminant mismatch")
-    if D >= 0:
-        raise UnsupportedDomainError("dual solving is implemented for D < 0")
-    if not (is_projective(A) and is_projective(B) and is_projective(C)):
-        raise InputError("dual solving needs projective cubes")
+    _composable(A, B)
+    _composable(A, C)
     ta, tb, tc = cube_to_triple(A), cube_to_triple(B), cube_to_triple(C)
     kappas = []
     for m in range(3):

@@ -6,8 +6,8 @@ else is an InputError.  It, the correctness check _ensure (InternalError,
 which python -O cannot strip) and the shared helpers _bezout and _mat_mul
 are called as ``exact._name``, so the benchmark tracer, which spans every
 function one module imports from another by name, leaves them out.  On top
-sit the point-evaluation engine every composition-law verifier runs on and
-Lagrange-Gauss reduction of rank-2 lattices.  No floating point anywhere.
+sits the point-evaluation engine every composition-law verifier runs on.
+No floating point anywhere.
 
 MultiForm (dense multilinear forms) and Poly (sparse integer polynomials)
 are the tests' reference constructions: no other module uses them, since
@@ -30,9 +30,9 @@ class InputError(ValueError):
 class UnsupportedDomainError(Exception):
     """Requested operation lies outside the supported domain.
 
-    Raised by the paths that need D < 0 (principality testing and the dual
-    solver built on it) when handed a nonnegative discriminant, and by
-    reduction and class composition at square discriminants.
+    The one such domain is a square discriminant, 0 included, where S(D) is
+    not a domain and forms have no reduction theory: reduction raises it,
+    and so do class composition, principality and the dual solver.
     """
 
 
@@ -378,36 +378,3 @@ def verify_at_points(lhs, rhs, slots, names: str, reasons=()) -> VerifyResult:
             return VerifyResult(False, (*reasons, fail))
     return VerifyResult(not reasons, reasons)
 
-
-def lagrange_gauss_reduce(basis, gram):
-    """Reduce a rank-2 lattice basis under a positive-definite form.
-
-    ``basis`` is a pair of integer 2-vectors, ``gram`` an integer triple
-    (p, q, r) meaning the form p*x^2 + q*x*y + r*y^2 on coordinates.
-    Returns ``(reduced_basis, shortest)`` where the first reduced vector
-    attains the lattice minimum.
-    """
-    p, q, r = (_as_int(t) for t in gram)
-    if p <= 0 or q * q - 4 * p * r >= 0:
-        raise InputError("gram form must be positive definite")
-    (u, v) = (tuple(_as_int(c) for c in w) for w in basis)
-    if u[0] * v[1] - u[1] * v[0] == 0:
-        raise InputError("degenerate basis")
-
-    def val(w):
-        return p * w[0] * w[0] + q * w[0] * w[1] + r * w[1] * w[1]
-
-    if val(u) > val(v):
-        u, v = v, u
-    while True:
-        vu = val(u)
-        # twice the bilinear pairing of u and v, an integer
-        b2 = val((u[0] + v[0], u[1] + v[1])) - vu - val(v)
-        # the integer nearest b2 / (2 vu), ties toward +infinity
-        t = (b2 + vu) // (2 * vu)
-        v = (v[0] - t * u[0], v[1] - t * u[1])
-        if val(v) < vu:
-            u, v = v, u
-        else:
-            break
-    return (u, v), u

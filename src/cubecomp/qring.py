@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import exact
-from .exact import InputError, UnsupportedDomainError, lagrange_gauss_reduce
+from .exact import InputError
 
 
 class QuadraticRing:
@@ -395,23 +395,3 @@ class OrientedIdeal:
             raise InputError("ideal is not invertible in its ring")
         return inv
 
-
-def principal_generator(I: OrientedIdeal):
-    """kappa with I = kappa*S as oriented ideals, or None.
-
-    Only definite rings are handled: for D < 0 the shortest nonzero vector
-    decides principality.  Raises UnsupportedDomainError for D >= 0.
-    """
-    ring = I.ring
-    if ring.D >= 0:
-        raise UnsupportedDomainError("principality test needs D < 0")
-    if I.mu != 1:
-        # for D < 0 every kappa*S is positively oriented
-        return None
-    (r1, r2), den = _int_rows(I.basis)
-    _, (p, q) = lagrange_gauss_reduce((r1, r2), (1, ring.eps, -ring.m))
-    # kappa*den = p + q*tau is a shortest vector of den*I, which is
-    # principal exactly when its norm is the covolume |N(den*I)|
-    if KElem._of(ring, p, q, 1)._norm_num() != abs(r1[0] * r2[1] - r1[1] * r2[0]):
-        return None
-    return KElem._of(ring, p, q, den)

@@ -222,6 +222,7 @@ def test_senary_identity_verifies_across_discriminants():
         assert verify_senary_identity(D)
 
 
-def test_senary_identity_rejects_zero_discriminant():
-    with pytest.raises(InputError):
-        verify_senary_identity(0)
+def test_senary_identity_verifies_at_square_discriminants():
+    # the identity needs no domain: it holds at D = 0 and the other squares
+    for D in (0, 1, 4, 9, 16):
+        assert verify_senary_identity(D).ok

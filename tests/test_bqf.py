@@ -1,16 +1,19 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cubecomp.bqf import (
     BQF,
     GaussBilinearData,
+    _is_square,
     bqf_to_ideal,
     compose_dirichlet,
     enumerate_class_group,
     ideal_class_equal,
     ideal_to_bqf,
     principal_form,
+    principal_generator,
     reduce,
     sl2_act,
     verify_gauss_identity,
@@ -18,6 +21,7 @@ from cubecomp.bqf import (
 from cubecomp import exact
 from cubecomp.cubes import lemmermeyer_identity
 from cubecomp.exact import InputError, UnsupportedDomainError
+from cubecomp.qring import OrientedIdeal, QuadraticRing
 from tests.worked_examples import CUBE_A
 
 
@@ -178,3 +182,33 @@ def test_indefinite_reduction_has_no_step_cap():
     res = reduce(Q)
     assert res.canonical == BQF(-2, 2, 1) == reduce(BQF(1, 0, -3)).canonical
     assert sl2_act(Q, res.transform) == res.canonical
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(
+    st.integers(-1000, 1000),
+    st.sampled_from((0, 1)),
+    st.tuples(st.integers(-50, 50), st.integers(-50, 50), st.integers(1, 5)),
+)
+def test_principal_generator_recovers_oriented_scaling(k, e, kappa):
+    # kappa*S at either sign of D, with the orientation sign N(kappa): a
+    # generator comes back and gives the same module and the same mu
+    D = 4 * k + e
+    assume(not _is_square(D) and kappa[:2] != (0, 0))
+    ring = QuadraticRing(D)
+    unit = OrientedIdeal.unit_ideal(ring)
+    I = unit.scale(ring.element(*kappa))
+    g = principal_generator(I)
+    assert g is not None and unit.scale(g) == I
+
+
+def test_principal_generator_exactly_on_the_principal_class():
+    # every narrow class at every nonsquare D in [-400, 400]: a generator
+    # comes back for the identity class and for no other
+    for D in range(-400, 401):
+        if D % 4 > 1 or _is_square(D):
+            continue
+        tbl = enumerate_class_group(D)
+        for i, Q in enumerate(tbl.representatives):
+            principal = principal_generator(bqf_to_ideal(Q)) is not None
+            assert principal == (i == tbl.identity_index()), (D, Q)

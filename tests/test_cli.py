@@ -10,7 +10,7 @@ import pytest
 
 from cubecomp.bqf import BQF, compose_dirichlet, reduce
 from cubecomp.cli import main
-from cubecomp.cubes import assoc_form, identity_cube
+from cubecomp.cubes import Cube, assoc_form, identity_cube
 from cubecomp.symspaces import (
     BinaryCubic,
     cubic_identity,
@@ -434,12 +434,36 @@ def test_corrupted_triple_corner_exits_4(tmp_path, capsys, monkeypatch):
     assert "norms multiply to 1/2" in err
 
 
-def test_dual_rejects_positive_disc(tmp_path, capsys):
+# a D = 12 triple outside the principal narrow class (h+(12) = 2)
+CUBES_12 = (
+    Cube((-2, -1, 0, 3, -1, -1, 1, 2)),
+    Cube((0, 1, 1, 0, 1, 0, 0, 3)),
+    Cube((0, 1, -2, 1, -1, 1, -1, 2)),
+)
+
+
+def test_dual_at_positive_disc(tmp_path, capsys):
     p = tmp_path / "in.json"
     A = identity_cube(8)
-    p.write_text(dumps_envelope("cube", 8, [A, A, A]))
+    for D, cubes in ((8, [A, A, A]), (12, CUBES_12)):
+        p.write_text(dumps_envelope("cube", D, cubes))
+        code, out, err = _run(capsys, ["dual", "--in", str(p)])
+        assert code == 0, err
+        assert "witness T:" in out and "verified" in out
+    p.write_text(dumps_envelope("cube", 12, [CUBES_12[0]] * 3))
     code, out, err = _run(capsys, ["dual", "--in", str(p)])
-    assert code == 3
+    assert code == 2
+    assert "not composable" in err
+
+
+def test_dual_square_disc_exits_3(tmp_path, capsys):
+    p = tmp_path / "in.json"
+    for D in (0, 4):
+        A = identity_cube(D)
+        p.write_text(dumps_envelope("cube", D, [A, A, A]))
+        code, out, err = _run(capsys, ["dual", "--in", str(p)])
+        assert code == 3
+        assert out == "" and err.count("\n") == 1
 
 
 def test_dual_rejects_noncomposable_classes(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from cubecomp import cubes
 from cubecomp.bqf import (
     BQF,
+    _is_square,
     bqf_to_ideal,
     compose_dirichlet,
     enumerate_class_group,
@@ -418,3 +419,32 @@ def test_dual_solver_on_principal_triple():
 def test_dual_solver_rejects_noncomposable():
     with pytest.raises(InputError):
         dual_cubes_solve(CUBE_A, CUBE_A, CUBE_A)
+
+
+def _random_sl2(rng, bound):
+    s, t = rng.randint(-bound, bound), rng.randint(-bound, bound)
+    return ((1 + s * t, s), (t, 1))
+
+
+def test_dual_solver_at_positive_disc():
+    # 40 composable triples (A, A + A, tilde(A + A + A)) at distinct
+    # nonsquare D > 0; every other triple has each cube moved by a random
+    # element of SL2^3, which keeps its classes and changes its bases
+    rng = random.Random(4040)
+    seen = set()
+    while len(seen) < 40:
+        A = _random_cube(rng, 3)
+        D = cube_disc(A)
+        if D <= 0 or D in seen or not is_projective(A) or _is_square(D):
+            continue
+        B = cube_class_compose(A, A)
+        C = cube_variants(cube_class_compose(A, B))[2]
+        triple = [A, B, C]
+        if len(seen) % 2:
+            triple = [
+                gamma_act(X, *(_random_sl2(rng, 30) for _ in range(3)))
+                for X in triple
+            ]
+        w = dual_cubes_solve(*triple)
+        assert verify_cube_composition(*triple, *w.cubes()).ok, triple
+        seen.add(D)

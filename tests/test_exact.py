@@ -14,7 +14,6 @@ from cubecomp.exact import (
     MultiForm,
     Poly,
     VerifyResult,
-    lagrange_gauss_reduce,
 )
 from cubecomp.qring import QuadraticRing
 from cubecomp.symspaces import BinaryCubic
@@ -87,21 +86,6 @@ def test_verify_result_truthiness():
     res = VerifyResult(False, ["because"])
     assert not res
     assert res.reasons == ("because",)
-
-
-def test_lagrange_gauss_finds_short_vector():
-    # lattice Z^2 under x^2 + y^2, fed a badly skewed basis
-    basis = ((13, 8), (21, 13))
-    (b1, b2), shortest = lagrange_gauss_reduce(basis, (1, 0, 1))
-    assert shortest == b1
-    assert b1[0] ** 2 + b1[1] ** 2 == 1
-    # the reduced pair still spans: determinant is preserved up to sign
-    assert abs(b1[0] * b2[1] - b1[1] * b2[0]) == abs(13 * 13 - 8 * 21)
-
-
-def test_lagrange_gauss_rejects_indefinite_gram():
-    with pytest.raises(InputError):
-        lagrange_gauss_reduce(((1, 0), (0, 1)), (1, 0, -1))
 
 
 @pytest.mark.parametrize(

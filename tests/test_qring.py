@@ -3,13 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from cubecomp.bqf import principal_generator
 from cubecomp.exact import InputError
-from cubecomp.qring import (
-    KElem,
-    OrientedIdeal,
-    QuadraticRing,
-    principal_generator,
-)
+from cubecomp.qring import KElem, OrientedIdeal, QuadraticRing
 
 
 def test_ring_construction_and_tau_relation():

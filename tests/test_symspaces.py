@@ -10,11 +10,12 @@ from cubecomp.bqf import (
     compose_dirichlet,
     enumerate_class_group,
     principal_form,
+    principal_generator,
     reduce,
 )
 from cubecomp.cubes import Cube, cube_disc, identity_cube, is_projective
 from cubecomp.exact import InputError
-from cubecomp.qring import OrientedIdeal, principal_generator
+from cubecomp.qring import OrientedIdeal
 from cubecomp.symspaces import (
     BinaryCubic,
     PairBQF,
