@@ -142,11 +142,16 @@ def _indef_reduced(Q: BQF, s: int) -> bool:
     return 1 <= b <= s and s - b + 1 <= 2 * abs(a) <= s + b
 
 
-def _rho(Q: BQF, s: int):
-    """One continued-fraction step; returns the new form and its matrix."""
-    a, b, c = Q.coeffs()
-    if c == 0:
+def _require_nonsquare(D: int) -> None:
+    """The one domain rule: at a square D, 0 included, S(D) is not a domain
+    and forms have no reduction theory (a and c can vanish)."""
+    if _is_square(D):
         raise UnsupportedDomainError("square discriminant")
+
+
+def _rho(Q: BQF, s: int, M):
+    """One continued-fraction step: Q^g for g = [[0, -1], [1, d]], and M*g."""
+    a, b, c = Q.coeffs()
     ac = abs(c)
     if ac > s:
         lo = -ac + 1  # r in (-|c|, |c|]
@@ -154,34 +159,28 @@ def _rho(Q: BQF, s: int):
         lo = s - 2 * ac + 1  # r in (sqrt(D) - 2|c|, sqrt(D))
     r = lo + ((-b - lo) % (2 * ac))
     d = (r + b) // (2 * c)
-    g = ((0, -1), (1, d))
-    a2, b2, c2 = c, 2 * c * d - b, a - b * d + c * d * d
-    return BQF(a2, b2, c2), g
+    (p, q), (u, v) = M
+    return BQF(c, 2 * c * d - b, a - b * d + c * d * d), ((q, q * d - p), (v, v * d - u))
 
 
-def _reduce_indefinite(Q: BQF):
+def _cycle(Q: BQF):
+    """Yield (F, M) with Q^M = F for each form of the reduced cycle that rho
+    reaches from Q, once each, in walk order.  Only the current M is held,
+    so memory stays linear in the cycle length."""
     D = Q.disc()
+    _require_nonsquare(D)
     s = isqrt(D)
-    g = _ID2
-    cur = Q  # a, c never vanish: D is nonsquare
+    F, M = Q, _ID2
     # rho reaches a reduced form in finitely many steps and the reduced
     # cycle is finite, so neither loop needs a cap
-    while not _indef_reduced(cur, s):
-        cur, step = _rho(cur, s)
-        g = exact._mat_mul(g, step)
-    # walk the cycle, track transforms, land on the lexicographically least
-    cycle = [cur]
-    transforms = [g]
-    probe, gp = cur, g
+    while not _indef_reduced(F, s):
+        F, M = _rho(F, s, M)
+    first = F
     while True:
-        probe, step = _rho(probe, s)
-        gp = exact._mat_mul(gp, step)
-        if probe == cur:
-            break
-        cycle.append(probe)
-        transforms.append(gp)
-    best = min(range(len(cycle)), key=lambda i: cycle[i].coeffs())
-    return cycle[best], transforms[best], tuple(cycle)
+        yield F, M
+        F, M = _rho(F, s, M)
+        if F == first:
+            return
 
 
 def reduce(Q: BQF) -> ReduceResult:
@@ -189,20 +188,23 @@ def reduce(Q: BQF) -> ReduceResult:
 
     D < 0: the unique reduced form (sign-preserved for negative definite).
     D > 0 nonsquare: the lexicographically least form of the reduced cycle,
-    which is also returned in full.  Square or zero discriminants are out.
+    which is also returned in full; one walk keeps only the least form's
+    transform.  A square discriminant, 0 included, raises
+    UnsupportedDomainError from the walk.
     """
-    D = Q.disc()
-    if D == 0 or _is_square(D):
-        raise UnsupportedDomainError("square discriminant has no reduction theory here")
-    if D < 0:
+    if Q.disc() < 0:
         if Q.a > 0:
             canonical, g = _reduce_posdef(Q)
         else:
             canonical, g = _reduce_posdef(-Q)
             canonical = -canonical
         return ReduceResult(canonical, g)
-    canonical, g, cycle = _reduce_indefinite(Q)
-    return ReduceResult(canonical, g, cycle)
+    cycle, best = [], None
+    for F, M in _cycle(Q):
+        cycle.append(F)
+        if best is None or F.coeffs() < best[0].coeffs():
+            best = F, M
+    return ReduceResult(*best, tuple(cycle))
 
 
 def compose_dirichlet(Q1: BQF, Q2: BQF) -> BQF:
@@ -220,8 +222,7 @@ def compose_dirichlet(Q1: BQF, Q2: BQF) -> BQF:
         raise InputError("discriminant mismatch")
     if not (Q1.is_primitive() and Q2.is_primitive()):
         raise InputError("composition needs primitive forms")
-    if D == 0 or _is_square(D):
-        raise UnsupportedDomainError("square discriminant")
+    _require_nonsquare(D)
     (a1, b1, _), (a2, b2, _) = Q1.coeffs(), Q2.coeffs()
     s = (b1 + b2) // 2  # b1, b2 and D share parity
     x, y = exact._bezout(a1, a2)
@@ -368,8 +369,7 @@ def enumerate_class_group(D: int) -> ClassGroupTable:
     """
     if D % 4 not in (0, 1):
         raise InputError("a discriminant must be 0 or 1 mod 4")
-    if D == 0 or _is_square(D):
-        raise UnsupportedDomainError("square discriminant")
+    _require_nonsquare(D)
     if D < 0:
         reps = _reduced_posdef_forms(D)
     else:
@@ -459,17 +459,24 @@ def ideal_class_equal(I: OrientedIdeal, J: OrientedIdeal) -> bool:
 def principal_generator(I: OrientedIdeal):
     """kappa with I = kappa*S as oriented ideals, or None.
 
-    I is principal exactly when its norm form Q reduces to the canonical
-    form of the principal class, so this works at any nonsquare
-    discriminant.  Then Q^M = principal_form(D) for M = r.transform times
-    r0.transform^-1, and Q takes the value 1 at M's first column (x, y): the
-    element kappa = x*b1 - y*b2 of I has N(kappa) = N(I), sign included.
+    I is narrowly principal exactly when a reduced form in the class of its
+    norm form Q properly represents 1 (Cohen, GTM 138, 5.6-5.8), that is,
+    when one reduced form of the class has a = 1.  At D < 0 that form is
+    reduce(Q); at D > 0 it is [1, b, (b^2 - D)/4] with b = s or s - 1
+    (s = isqrt(D), b = D mod 2), and the walk of Q's cycle stops there.
+    Then Q^M = [1, b, .] and Q takes the value 1 at M's first column (x, y):
+    the element kappa = x*b1 - y*b2 of I has N(kappa) = N(I), sign included.
+    A square discriminant raises UnsupportedDomainError, as in reduce.
     """
-    r = reduce(ideal_to_bqf(I))
-    r0 = reduce(principal_form(I.ring.D))
-    if r.canonical != r0.canonical:
-        return None
-    (p, q), (s, t) = r0.transform
-    (x, _), (y, _) = exact._mat_mul(r.transform, ((t, -q), (-s, p)))
-    b1, b2 = I.basis
-    return b1 * x - b2 * y
+    Q = ideal_to_bqf(I)
+    if Q.disc() < 0:
+        r = reduce(Q)
+        walk = ((r.canonical, r.transform),)
+    else:
+        walk = _cycle(Q)
+    for F, M in walk:
+        if F.a == 1:
+            (x, _), (y, _) = M
+            b1, b2 = I.basis
+            return b1 * x - b2 * y
+    return None

@@ -12,10 +12,10 @@ it works on the eight coefficients, index 4i + 2j + k.
 
 from __future__ import annotations
 
-from .bqf import BQF, GaussBilinearData, _is_square, ideal_to_bqf
+from .bqf import BQF, GaussBilinearData, _require_nonsquare, ideal_to_bqf
 from .bqf import principal_generator, verify_gauss_identity
 from . import exact
-from .exact import BINARY_POINTS, InputError, UnsupportedDomainError
+from .exact import BINARY_POINTS, InputError
 from .exact import VerifyResult, verify_at_points
 from .qring import KElem, OrientedIdeal, QuadraticRing
 
@@ -444,8 +444,7 @@ def _composable(A: Cube, B: Cube) -> None:
     D = cube_disc(A)
     if cube_disc(B) != D:
         raise InputError("discriminant mismatch")
-    if _is_square(D):
-        raise UnsupportedDomainError("square discriminant")
+    _require_nonsquare(D)
     if not (is_projective(A) and is_projective(B)):
         raise InputError("class composition needs projective inputs")
 

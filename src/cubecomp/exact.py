@@ -31,8 +31,10 @@ class UnsupportedDomainError(Exception):
     """Requested operation lies outside the supported domain.
 
     The one such domain is a square discriminant, 0 included, where S(D) is
-    not a domain and forms have no reduction theory: reduction raises it,
-    and so do class composition, principality and the dual solver.
+    not a domain and forms have no reduction theory.  One guard,
+    bqf._require_nonsquare, raises it: the walk of the reduced cycle that
+    reduce and principal_generator share calls it, and so do form and
+    class composition, class-group enumeration and the dual solver.
     """
 
 

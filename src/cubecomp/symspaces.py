@@ -141,14 +141,7 @@ def syzygy_check(f: BinaryCubic) -> VerifyResult:
 
 
 def cubic_identity(D: int) -> BinaryCubic:
-    if D % 4 == 0:
-        f = BinaryCubic(0, 1, 0, D // 4)
-    elif D % 4 == 1:
-        f = BinaryCubic(0, 1, 1, (D + 3) // 4)
-    else:
-        raise InputError("discriminant must be 0 or 1 mod 4")
-    exact._ensure(cubic_embed(f) == identity_cube(D), "identity cubic mismatch")
-    return f
+    return _cubic_of(identity_cube(D))
 
 
 def verify_cubic_composition(
@@ -265,22 +258,15 @@ def pair_disc(F: PairBQF) -> int:
     return cube_disc(pair_embed(F))
 
 
-def pair_identity(D: int) -> PairBQF:
-    if D % 4 == 0:
-        F = PairBQF(BQF(0, 2, 0), BQF(1, 0, D // 4))
-    elif D % 4 == 1:
-        F = PairBQF(BQF(0, 2, 1), BQF(1, 2, (D + 3) // 4))
-    else:
-        raise InputError("discriminant must be 0 or 1 mod 4")
-    exact._ensure(pair_embed(F) == identity_cube(D), "identity pair mismatch")
-    return F
-
-
 def _pair_of(A: Cube) -> PairBQF:
     """The pair that embeds as A, a cube symmetric in j and k."""
     c = A.coeffs
     exact._ensure(c[1] == c[2] and c[5] == c[6], "cube is not symmetric in j and k")
     return PairBQF(BQF(c[0], 2 * c[1], c[3]), BQF(c[4], 2 * c[5], c[7]))
+
+
+def pair_identity(D: int) -> PairBQF:
+    return _pair_of(identity_cube(D))
 
 
 def pair_companion(F: PairBQF) -> PairBQF:

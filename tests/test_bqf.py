@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -22,6 +23,7 @@ from cubecomp import exact
 from cubecomp.cubes import lemmermeyer_identity
 from cubecomp.exact import InputError, UnsupportedDomainError
 from cubecomp.qring import OrientedIdeal, QuadraticRing
+from tests.reduce_reference import reference_principal_generator, reference_reduce
 from tests.worked_examples import CUBE_A
 
 
@@ -212,3 +214,77 @@ def test_principal_generator_exactly_on_the_principal_class():
         for i, Q in enumerate(tbl.representatives):
             principal = principal_generator(bqf_to_ideal(Q)) is not None
             assert principal == (i == tbl.identity_index()), (D, Q)
+
+
+def test_reduce_matches_reference_on_principal_forms():
+    # every nonsquare D in (0, 3000]: the one walk keeps the same least
+    # form, the same transform and the same cycle as the keep-all lap
+    for D in range(1, 3001):
+        if D % 4 > 1 or _is_square(D):
+            continue
+        res = reduce(principal_form(D))
+        assert (res.canonical, res.transform, res.cycle) == reference_reduce(
+            principal_form(D)
+        ), D
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(st.tuples(*(st.integers(-500, 500),) * 3))
+def test_reduce_matches_reference_on_indefinite_forms(abc):
+    Q = BQF(*abc)
+    assume(Q.disc() > 0 and not _is_square(Q.disc()))
+    res = reduce(Q)
+    assert (res.canonical, res.transform, res.cycle) == reference_reduce(Q)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(
+    st.tuples(*(st.integers(-300, 300),) * 3),
+    st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
+    st.booleans(),
+)
+def test_principal_generator_matches_reference(abc, kappa, trivial):
+    # same verdict as the two-reduction test; the same kappa at D < 0, and
+    # at D > 0 kappas that differ by a unit of norm 1.  I times its inverse
+    # is S on another basis, so half the cases are principal at both signs
+    Q = BQF(*abc)
+    D = Q.disc()
+    assume(Q.a != 0 and Q.is_primitive() and not _is_square(D))
+    I = bqf_to_ideal(Q)
+    if trivial:
+        I = I * I.inverse()
+    k = I.ring.element(*kappa)
+    if k.norm() != 0:
+        I = I.scale(k)
+    new, old = principal_generator(I), reference_principal_generator(I)
+    assert (new is None) == (old is None)
+    if new is None:
+        return
+    if D < 0:
+        assert new == old
+    else:
+        q = new / old
+        assert q.is_integral() and q.norm() == 1
+
+
+def test_principal_generator_rejects_square_discriminants():
+    for D in (0, 4, 9, 16, 25):
+        unit = OrientedIdeal.unit_ideal(QuadraticRing(D))
+        with pytest.raises(UnsupportedDomainError):
+            principal_generator(unit)
+
+
+def test_long_cycle_reduction_keeps_one_transform():
+    # D = 254354953: a principal cycle of 13,612 forms, whose transforms
+    # near the end have thousands of bits; holding one per form took 86.8
+    # MiB of traced peak, holding only the least form's stays small
+    Q = principal_form(254354953)
+    tracemalloc.start()
+    try:
+        res = reduce(Q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(res.cycle) == 13612
+    assert sl2_act(Q, res.transform) == res.canonical
+    assert peak < 8 * 2**20, peak

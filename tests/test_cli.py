@@ -456,6 +456,23 @@ def test_dual_at_positive_disc(tmp_path, capsys):
     assert "not composable" in err
 
 
+# D = 8,452,304,329, whose principal cycle has 159,164 reduced forms: a
+# transform kept per form needs gigabytes, and one walk stops early
+CUBES_LONG_CYCLE = (
+    Cube((0, 7, 1, 4, 1, -3, 0, 301868010)),
+    Cube((0, 1, 7, -3, 1, 0, 4, 301868010)),
+    Cube((0, 1, 1, 0, 7, 4, -3, 301868010)),
+)
+
+
+def test_dual_on_a_long_principal_cycle(tmp_path, capsys):
+    p = tmp_path / "in.json"
+    p.write_text(dumps_envelope("cube", 8452304329, CUBES_LONG_CYCLE))
+    code, out, err = _run(capsys, ["dual", "--in", str(p)])
+    assert code == 0, err
+    assert "witness T:" in out and "dual: verified" in out
+
+
 def test_dual_square_disc_exits_3(tmp_path, capsys):
     p = tmp_path / "in.json"
     for D in (0, 4):
