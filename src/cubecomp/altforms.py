@@ -44,7 +44,7 @@ def _check_alternating(m):
     return rows
 
 
-class QuatAltPair:
+class QuatAltPair(exact._Value):
     """Pair of alternating 4x4 integer matrices (F1, F2)."""
 
     __slots__ = ("f1", "f2")
@@ -52,22 +52,6 @@ class QuatAltPair:
     def __init__(self, f1, f2):
         object.__setattr__(self, "f1", _check_alternating(f1))
         object.__setattr__(self, "f2", _check_alternating(f2))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuatAltPair is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuatAltPair)
-            and self.f1 == other.f1
-            and self.f2 == other.f2
-        )
-
-    def __hash__(self):
-        return hash((self.f1, self.f2))
-
-    def __repr__(self):
-        return f"QuatAltPair({self.f1!r}, {self.f2!r})"
 
 
 def _block(m):
@@ -187,7 +171,7 @@ _TRIPLES = tuple(combinations(range(6), 3))
 _TRIPLE_INDEX = {t: n for n, t in enumerate(_TRIPLES)}
 
 
-class SenaryAlt3:
+class SenaryAlt3(exact._Value):
     """Alternating 3-form on Z^6: twenty coefficients a_{ijk}, i<j<k."""
 
     __slots__ = ("coeffs",)
@@ -197,9 +181,6 @@ class SenaryAlt3:
         if len(coeffs) != 20:
             raise InputError("a senary alternating 3-form has 20 coefficients")
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SenaryAlt3 is immutable")
 
     def coeff(self, i: int, j: int, k: int) -> int:
         """a_{ijk} for arbitrary index order, with the alternating sign."""
@@ -213,12 +194,6 @@ class SenaryAlt3:
                 seq[a], seq[b] = seq[b], seq[a]
                 sign = -sign
         return sign * self.coeffs[_TRIPLE_INDEX[tuple(seq)]]
-
-    def __eq__(self, other):
-        return isinstance(other, SenaryAlt3) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __repr__(self):
         return f"SenaryAlt3({self.coeffs})"

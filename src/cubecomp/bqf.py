@@ -24,7 +24,7 @@ def _is_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
 
 
-class BQF:
+class BQF(exact._Value):
     """Integral binary quadratic form a*x^2 + b*x*y + c*y^2."""
 
     __slots__ = ("a", "b", "c")
@@ -34,9 +34,6 @@ class BQF:
         object.__setattr__(self, "a", as_int(a))
         object.__setattr__(self, "b", as_int(b))
         object.__setattr__(self, "c", as_int(c))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BQF is immutable")
 
     def coeffs(self):
         return (self.a, self.b, self.c)
@@ -52,15 +49,6 @@ class BQF:
 
     def __neg__(self) -> "BQF":
         return BQF(-self.a, -self.b, -self.c)
-
-    def __eq__(self, other):
-        return isinstance(other, BQF) and self.coeffs() == other.coeffs()
-
-    def __hash__(self):
-        return hash(self.coeffs())
-
-    def __repr__(self):
-        return f"BQF{self.coeffs()}"
 
 
 def sl2_act(Q: BQF, g) -> BQF:
@@ -86,7 +74,7 @@ _ID2 = ((1, 0), (0, 1))
 _SWAP = ((0, 1), (-1, 0))  # [c, -b, a] under the action
 
 
-class ReduceResult:
+class ReduceResult(exact._Value):
     """reduce() output: canonical form, the SL2 matrix achieving it, and for
     indefinite forms the full cycle of reduced forms."""
 
@@ -96,9 +84,6 @@ class ReduceResult:
         object.__setattr__(self, "canonical", canonical)
         object.__setattr__(self, "transform", transform)
         object.__setattr__(self, "cycle", cycle)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ReduceResult is immutable")
 
     def __repr__(self):
         return f"ReduceResult({self.canonical!r})"
@@ -234,7 +219,7 @@ def compose_dirichlet(Q1: BQF, Q2: BQF) -> BQF:
     return reduce(BQF(a3, B, (B * B - D) // (4 * a3))).canonical
 
 
-class GaussBilinearData:
+class GaussBilinearData(exact._Value):
     """The two 2x2 matrices defining the bilinear substitution z(x, y)."""
 
     __slots__ = ("amat", "bmat")
@@ -247,19 +232,6 @@ class GaussBilinearData:
                 raise InputError("bilinear data must be two 2x2 matrices")
         object.__setattr__(self, "amat", amat)
         object.__setattr__(self, "bmat", bmat)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussBilinearData is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GaussBilinearData)
-            and self.amat == other.amat
-            and self.bmat == other.bmat
-        )
-
-    def __repr__(self):
-        return f"GaussBilinearData({self.amat}, {self.bmat})"
 
 
 def verify_gauss_identity(
@@ -291,34 +263,29 @@ def verify_gauss_identity(
     )
 
 
-class ClassGroupTable:
+class ClassGroupTable(exact._Value):
     """The narrow class group at discriminant D, fully tabulated.
 
     Representatives are canonical reduced forms (for D < 0 both definite
     signs appear); table[i][j] is the index of the composed class.
     """
 
-    __slots__ = ("D", "representatives", "table", "_identity", "_index")
+    __slots__ = ("D", "representatives", "table", "_identity")
 
     def __init__(self, D: int, representatives, table, identity: int):
         object.__setattr__(self, "D", D)
         object.__setattr__(self, "representatives", tuple(representatives))
         object.__setattr__(self, "table", tuple(tuple(row) for row in table))
         object.__setattr__(self, "_identity", identity)
-        index = {Q: i for i, Q in enumerate(self.representatives)}
-        object.__setattr__(self, "_index", index)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ClassGroupTable is immutable")
 
     def __len__(self):
         return len(self.representatives)
 
     def index_of(self, Q: BQF) -> int:
-        i = self._index.get(reduce(Q).canonical)
-        if i is None:
+        canonical = reduce(Q).canonical
+        if canonical not in self.representatives:
             raise InputError(f"{Q!r} is not in any tabulated class")
-        return i
+        return self.representatives.index(canonical)
 
     def identity_index(self) -> int:
         return self._identity

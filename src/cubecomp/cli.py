@@ -8,7 +8,7 @@ computed artifacts, and the wall time.  Exit codes: 0 for verified or
 composed, 1 when a verification comes back false, 2 for malformed input, 3
 for a square discriminant (0 included), which the routines that reduce
 forms do not cover, 4 when one of the library's own correctness checks
-fails or the library crashes.
+fails or the library crashes, 130 when interrupted (Ctrl-C, SIGINT).
 """
 
 from __future__ import annotations
@@ -372,6 +372,9 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return _main(argv)
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

@@ -20,7 +20,7 @@ from .exact import VerifyResult, verify_at_points
 from .qring import KElem, OrientedIdeal, QuadraticRing
 
 
-class Cube:
+class Cube(exact._Value):
     """Integer 2x2x2 array in the fixed order [a111 ... a222]."""
 
     __slots__ = ("coeffs",)
@@ -31,21 +31,9 @@ class Cube:
             raise InputError("a cube has exactly eight coefficients")
         object.__setattr__(self, "coeffs", coeffs)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Cube is immutable")
-
     def coeff(self, i: int, j: int, k: int) -> int:
         """Entry a_{(i+1)(j+1)(k+1)} for 0-based i, j, k."""
         return self.coeffs[4 * i + 2 * j + k]
-
-    def __eq__(self, other):
-        return isinstance(other, Cube) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"Cube{self.coeffs}"
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -275,7 +263,7 @@ def verify_cube_composition(
     )
 
 
-class BalancedTriple:
+class BalancedTriple(exact._Value):
     """Three oriented ideals with chosen ordered bases, multiplying into S.
 
     Checked at construction: the ideal orientations are read off the basis
@@ -310,14 +298,11 @@ class BalancedTriple:
         object.__setattr__(self, "ideals", ideals)
         object.__setattr__(self, "products", products)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BalancedTriple is immutable")
-
     def __repr__(self):
         return f"BalancedTriple(D={self.ring.D})"
 
 
-class DualWitness:
+class DualWitness(exact._Value):
     """The cube triple (R, S, T) dual to a composable (A, B, C)."""
 
     __slots__ = ("R", "S", "T")
@@ -327,14 +312,8 @@ class DualWitness:
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "T", T)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DualWitness is immutable")
-
     def cubes(self):
         return (self.R, self.S, self.T)
-
-    def __repr__(self):
-        return f"DualWitness({self.R!r}, {self.S!r}, {self.T!r})"
 
 
 # shears tried per direction, in order; Q_i after the shear (p, q; r, s) in

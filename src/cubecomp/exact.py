@@ -5,7 +5,9 @@ of every constructor: ints and Fractions with denominator 1 pass, anything
 else is an InputError.  It, the correctness check _ensure (InternalError,
 which python -O cannot strip) and the shared helpers _bezout and _mat_mul
 are called as ``exact._name``, so the benchmark tracer, which spans every
-function one module imports from another by name, leaves them out.  On top
+function one module imports from another by name, leaves them out.  The
+base _Value derives immutability, equality, hash and repr from __slots__
+for the form, cube, cubic, pair, quat, senary and result classes.  On top
 sits the point-evaluation engine every composition-law verifier runs on.
 No floating point anywhere.
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as iter_product
 from math import prod
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 
@@ -46,6 +49,37 @@ def _ensure(ok: bool, what: str) -> None:
     """Raise InternalError(what) unless ok: a check python -O keeps."""
     if not ok:
         raise InternalError(what)
+
+
+class _Value:
+    """Immutable value semantics derived from the subclass's __slots__.
+
+    Equality holds for the same type with equal slot values, the hash is
+    that of the slot values, and the repr is the class name followed by
+    the slot tuple, or by the value itself when there is one slot.  The
+    base has no __init__ on purpose: each constructor stores its slots
+    directly with object.__setattr__, which is cheaper than a generic
+    __init__ that loops over the slots.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # one name gives the value itself, several give their tuple
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        values = self._values
+        return type(other) is type(self) and values(self) == values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        return type(self).__name__ + repr(self._values(self))
 
 
 def _as_int(x) -> int:
@@ -333,7 +367,7 @@ class Poly:
         return total
 
 
-class VerifyResult:
+class VerifyResult(_Value):
     """Outcome of an identity verification, with reasons on failure.
 
     Truthiness equals the verdict, so callers may use it directly in
@@ -345,9 +379,6 @@ class VerifyResult:
     def __init__(self, ok: bool, reasons=()):
         object.__setattr__(self, "ok", bool(ok))
         object.__setattr__(self, "reasons", tuple(reasons))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VerifyResult is immutable")
 
     def __bool__(self) -> bool:
         return self.ok

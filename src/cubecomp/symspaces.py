@@ -33,7 +33,7 @@ from .exact import VerifyResult, verify_at_points
 from .qring import OrientedIdeal, QuadraticRing
 
 
-class BinaryCubic:
+class BinaryCubic(exact._Value):
     """a0 x^3 + 3 a1 x^2 y + 3 a2 x y^2 + a3 y^3.
 
     The inner coefficients are stored without their factor of three, so the
@@ -49,9 +49,6 @@ class BinaryCubic:
         object.__setattr__(self, "a2", as_int(a2))
         object.__setattr__(self, "a3", as_int(a3))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BinaryCubic is immutable")
-
     @property
     def coeffs(self):
         return (self.a0, self.a1, self.a2, self.a3)
@@ -64,17 +61,8 @@ class BinaryCubic:
             + self.a3 * y**3
         )
 
-    def __eq__(self, other):
-        return isinstance(other, BinaryCubic) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __neg__(self):
         return BinaryCubic(-self.a0, -self.a1, -self.a2, -self.a3)
-
-    def __repr__(self):
-        return f"BinaryCubic{self.coeffs}"
 
 
 def cubic_embed(f: BinaryCubic) -> Cube:
@@ -214,7 +202,7 @@ def cubic_class_compose(f: BinaryCubic, g: BinaryCubic) -> BinaryCubic:
     return _cubic_of(_triple_cube(ring, bases))
 
 
-class PairBQF:
+class PairBQF(exact._Value):
     """A pair of integral binary quadratic forms with even cross terms."""
 
     __slots__ = ("f1", "f2")
@@ -225,27 +213,11 @@ class PairBQF:
         object.__setattr__(self, "f1", f1)
         object.__setattr__(self, "f2", f2)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PairBQF is immutable")
-
     def __call__(self, x, y):
         """x1 F1(y1, y2) + x2 F2(y1, y2) for 2-vectors x and y."""
         x1, x2 = x
         y1, y2 = y
         return x1 * self.f1(y1, y2) + x2 * self.f2(y1, y2)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PairBQF)
-            and self.f1 == other.f1
-            and self.f2 == other.f2
-        )
-
-    def __hash__(self):
-        return hash((self.f1, self.f2))
-
-    def __repr__(self):
-        return f"PairBQF({self.f1!r}, {self.f2!r})"
 
 
 def pair_embed(F: PairBQF) -> Cube:

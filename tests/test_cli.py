@@ -2,8 +2,10 @@ import io
 import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
+import time
 from importlib import resources
 
 import pytest
@@ -661,3 +663,22 @@ def test_reader_closing_early_is_not_an_error():
     err = proc.stderr.read()
     assert proc.wait(timeout=120) == 0
     assert err == b""
+
+
+def test_interrupt_is_one_line_and_exit_130():
+    # the class group at |D| about 1e11 runs far longer than the wait
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cubecomp.cli", "classgroup",
+         "--discriminant", "-100000000003"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_subprocess_env(),
+    )
+    try:
+        time.sleep(1)
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 130
+    assert out == b""
+    assert err == b"error: interrupted\n"

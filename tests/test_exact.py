@@ -7,16 +7,19 @@ import pytest
 
 import cubecomp
 from cubecomp.altforms import QuatAltPair, SenaryAlt3
-from cubecomp.bqf import BQF, GaussBilinearData, sl2_act
-from cubecomp.cubes import Cube, gamma_act
+from cubecomp.bqf import BQF, ClassGroupTable, GaussBilinearData, ReduceResult
+from cubecomp.bqf import sl2_act
+from cubecomp.cubes import BalancedTriple, Cube, DualWitness, cube_to_triple
+from cubecomp.cubes import gamma_act
 from cubecomp.exact import (
     InputError,
     MultiForm,
     Poly,
     VerifyResult,
+    _Value,
 )
 from cubecomp.qring import QuadraticRing
-from cubecomp.symspaces import BinaryCubic
+from cubecomp.symspaces import BinaryCubic, PairBQF
 
 _ID = ((1, 0), (0, 1))
 _ALT = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
@@ -86,6 +89,100 @@ def test_verify_result_truthiness():
     res = VerifyResult(False, ["because"])
     assert not res
     assert res.reasons == ("because",)
+
+
+def _quat_pair(k):
+    f2 = ((0, 1 + k, 0, 0), (-1 - k, 0, 0, 0), (0,) * 4, (0,) * 4)
+    return QuatAltPair(_ALT, f2)
+
+
+# (class, instance with one coefficient moved by k, repr at k = 0)
+_VALUES = [
+    (BQF, lambda k: BQF(1, 2, 3 + k), "BQF(1, 2, 3)"),
+    (
+        ReduceResult,
+        lambda k: ReduceResult(BQF(1, 1, 6), ((1, k), (0, 1))),
+        "ReduceResult(BQF(1, 1, 6))",
+    ),
+    (
+        GaussBilinearData,
+        lambda k: GaussBilinearData(_ID, ((0, 1), (1, k))),
+        "GaussBilinearData(((1, 0), (0, 1)), ((0, 1), (1, 0)))",
+    ),
+    (
+        ClassGroupTable,
+        lambda k: ClassGroupTable(-4, [BQF(1, 0, 1 + k)], [[0]], 0),
+        "ClassGroupTable(D=-4, 1 classes)",
+    ),
+    (Cube, lambda k: Cube((k, 1, 2, 3, 4, 5, 6, 7)),
+     "Cube(0, 1, 2, 3, 4, 5, 6, 7)"),
+    (
+        BalancedTriple,
+        lambda k: cube_to_triple(Cube((0, 1, 1, 1, 1, 1, 1, k - 5))),
+        "BalancedTriple(D=-23)",
+    ),
+    (
+        DualWitness,
+        lambda k: DualWitness(Cube([0] * 8), Cube([1] * 8), Cube([k] * 8)),
+        "DualWitness(Cube(0, 0, 0, 0, 0, 0, 0, 0), Cube(1, 1, 1, 1, 1, 1, 1, 1),"
+        " Cube(0, 0, 0, 0, 0, 0, 0, 0))",
+    ),
+    (BinaryCubic, lambda k: BinaryCubic(0, 1, 0, 2 + k),
+     "BinaryCubic(0, 1, 0, 2)"),
+    (
+        PairBQF,
+        lambda k: PairBQF(BQF(1, 0, 2), BQF(3, 2, 1 + k)),
+        "PairBQF(BQF(1, 0, 2), BQF(3, 2, 1))",
+    ),
+    (
+        QuatAltPair,
+        _quat_pair,
+        "QuatAltPair(((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0)),"
+        " ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)))",
+    ),
+    (
+        SenaryAlt3,
+        lambda k: SenaryAlt3((k, *range(1, 20))),
+        f"SenaryAlt3({tuple(range(20))})",
+    ),
+    (
+        VerifyResult,
+        lambda k: VerifyResult(False, [f"point {k}"]),
+        "VerifyResult(failed: point 0)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, make, text", _VALUES, ids=[cls.__name__ for cls, _, _ in _VALUES]
+)
+def test_value_classes_share_one_immutable_base(cls, make, text):
+    x, y, moved = make(0), make(0), make(1)
+    assert isinstance(x, _Value)
+    for name in ("__setattr__", "__eq__", "__hash__"):
+        assert name not in vars(cls)
+    with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+        setattr(x, cls.__slots__[0], None)
+    assert x is not y and x == y and hash(x) == hash(y)
+    assert x != moved
+    assert repr(x) == text
+
+
+def test_value_equality_needs_the_same_type():
+    class Left(_Value):
+        __slots__ = ("p", "q")
+
+        def __init__(self, p, q):
+            object.__setattr__(self, "p", p)
+            object.__setattr__(self, "q", q)
+
+    class Right(_Value):
+        __slots__ = ("p", "q")
+        __init__ = Left.__init__
+
+    assert Left(1, 2) == Left(1, 2)
+    assert Left(1, 2) != Right(1, 2)
+    assert repr(Right(1, 2)) == "Right(1, 2)"
 
 
 @pytest.mark.parametrize(
